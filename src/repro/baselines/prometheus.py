@@ -135,13 +135,11 @@ class PrometheusBaseline:
     ) -> ClassificationReport:
         """Honest k-fold CV report (no test instance seen in training)."""
         from repro.ml.balance import oversample
-        from repro.ml.crossval import cross_validate as run_cv
+        from repro.ml.crossval import clamped_cross_validate
 
         y = self.labels_for(records)
         X = self._features_of(records)
-        smallest = int(np.bincount(np.unique(y, return_inverse=True)[1]).min())
-        splits = max(2, min(n_splits, smallest))
-        return run_cv(
+        return clamped_cross_validate(
             lambda: RandomForestClassifier(
                 n_estimators=self.n_estimators,
                 min_samples_leaf=3,
@@ -149,7 +147,7 @@ class PrometheusBaseline:
             ),
             X,
             y,
-            n_splits=splits,
+            n_splits=n_splits,
             random_state=self.random_state,
             balance=lambda Xb, yb: oversample(
                 Xb, yb, random_state=self.random_state

@@ -159,18 +159,16 @@ class AvgRepresentationDetector:
     ) -> ClassificationReport:
         """Honest k-fold CV report over the selected feature subset."""
         from repro.ml.balance import oversample
-        from repro.ml.crossval import cross_validate as run_cv
+        from repro.ml.crossval import clamped_cross_validate
 
         self._check_fitted()
         y = np.asarray(labels) if labels is not None else self.labels_for(records)
         X = self._features_of(records)
-        smallest = int(np.bincount(np.unique(y, return_inverse=True)[1]).min())
-        splits = max(2, min(n_splits, smallest))
-        return run_cv(
+        return clamped_cross_validate(
             self._model_factory,
             X,
             y,
-            n_splits=splits,
+            n_splits=n_splits,
             random_state=self.random_state,
             balance=lambda Xb, yb: oversample(
                 Xb, yb, random_state=self.random_state

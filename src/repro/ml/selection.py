@@ -23,15 +23,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import trace
+
 from .information import (
     discretize,
+    entropy_from_counts,
     information_gain,
     mdl_discretize,
-    symmetrical_uncertainty,
 )
 
 __all__ = ["InfoGainRanker", "CfsSubsetSelector", "SelectionResult"]
@@ -45,6 +47,93 @@ def _discretize_matrix(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         cuts = mdl_discretize(X[:, j], y)
         out[:, j] = discretize(X[:, j], cuts)
     return out
+
+
+def _su_batch(rows, n_rows, h_rows, cols, n_cols, h_cols) -> np.ndarray:
+    """Symmetrical uncertainty of T variable pairs in one pass.
+
+    Pair ``t`` relates the compact codes ``rows[:, t]`` (``n_rows[t]``
+    distinct values, entropy ``h_rows[t]``) to ``cols[:, t]``; ``cols``
+    and its companions may broadcast.  All T contingency tables come
+    from one ``np.bincount``.  The result equals
+    :func:`repro.ml.information.symmetrical_uncertainty` bit for bit:
+    table rows are visited in ascending code order, zero cells are
+    dropped, each row's ``p log p`` terms are summed as one contiguous
+    vector of the same length, and the conditional entropy accumulates
+    row by row.
+    """
+    n, n_pairs = rows.shape
+    if n_pairs == 0:
+        return np.empty(0)
+    n_rows = np.asarray(n_rows, dtype=np.int64)
+    n_cols = np.broadcast_to(np.asarray(n_cols, dtype=np.int64), (n_pairs,))
+    cells = n_rows * n_cols
+    offsets = np.cumsum(cells) - cells
+    counts = np.bincount(
+        (offsets + rows * n_cols + cols).ravel(), minlength=int(cells.sum())
+    )
+    # Table rows, pair-major: row r holds row_len[r] cells.  Every code
+    # occurs, so no row is empty.
+    row_len = np.repeat(n_cols, n_rows)
+    row_total = np.add.reduceat(counts, np.cumsum(row_len) - row_len)
+    nonzero = counts > 0
+    row_of_cell = np.repeat(np.arange(row_len.size), row_len)[nonzero]
+    p = counts[nonzero] / row_total[row_of_cell]
+    terms = p * np.log2(p)
+    width = np.bincount(row_of_cell, minlength=row_len.size)
+    start = np.cumsum(width) - width
+    row_h = np.empty(row_len.size)
+    for w in np.unique(width):
+        which = np.nonzero(width == w)[0]
+        row_h[which] = -terms[start[which, None] + np.arange(w)].sum(axis=1)
+    # H(cols | rows): weighted row entropies summed in row order.
+    grid = np.zeros((n_pairs, int(n_rows.max())))
+    grid[np.repeat(np.arange(n_pairs), n_rows),
+         np.arange(row_len.size) - np.repeat(np.cumsum(n_rows) - n_rows, n_rows)
+         ] = (row_total / n) * row_h
+    h_cond = np.zeros(n_pairs)
+    for column in grid.T:
+        h_cond += column
+    gain = h_cols - h_cond
+    gain = np.where(gain > 0.0, gain, 0.0)
+    denom = h_rows + h_cols
+    with np.errstate(divide="ignore", invalid="ignore"):
+        su = 2.0 * gain / denom
+    return np.where(denom > 0, np.where(su < 1.0, su, 1.0), 0.0)
+
+
+class _CodedColumns:
+    """Discretised columns as compact codes with cached entropies."""
+
+    def __init__(self, Xd: np.ndarray, y: np.ndarray) -> None:
+        n, n_features = Xd.shape
+        self.codes = np.empty((n, n_features), dtype=np.int64)
+        self.sizes = np.empty(n_features, dtype=np.int64)
+        self.entropy = np.empty(n_features)
+        for j in range(n_features):
+            _, self.codes[:, j], counts = np.unique(
+                Xd[:, j], return_inverse=True, return_counts=True
+            )
+            self.sizes[j] = counts.size
+            self.entropy[j] = entropy_from_counts(counts)
+        _, inverse, counts = np.unique(y, return_inverse=True, return_counts=True)
+        self.class_codes = inverse.reshape(-1, 1)
+        self.class_size = counts.size
+        self.class_entropy = entropy_from_counts(counts)
+
+    def class_su(self) -> np.ndarray:
+        """``symmetrical_uncertainty(X_j, y)`` for every column j."""
+        return _su_batch(
+            self.codes, self.sizes, self.entropy,
+            self.class_codes, self.class_size, self.class_entropy,
+        )
+
+    def pair_su(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """``symmetrical_uncertainty(X_lo, X_hi)`` for paired index arrays."""
+        return _su_batch(
+            self.codes[:, lo], self.sizes[lo], self.entropy[lo],
+            self.codes[:, hi], self.sizes[hi], self.entropy[hi],
+        )
 
 
 @dataclass
@@ -137,27 +226,44 @@ class CfsSubsetSelector:
         names: Optional[Sequence[str]] = None,
     ) -> SelectionResult:
         """Run the search and return the best subset found."""
+        with trace("ml.cfs_select") as span:
+            result, evaluated, su_pairs = self._select(X, y, names)
+            span.add("subsets_evaluated", evaluated)
+            span.add("su_pairs", su_pairs)
+        return result
+
+    def _select(self, X, y, names):
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         if X.ndim != 2 or X.shape[0] != y.shape[0]:
             raise ValueError("X/y shape mismatch")
         n_features = X.shape[1]
         Xd = _discretize_matrix(X, y)
+        coded = _CodedColumns(Xd, y)
 
         # Feature-class correlations, computed once.
-        r_cf = np.array(
-            [symmetrical_uncertainty(Xd[:, j], y) for j in range(n_features)]
-        )
-        # Feature-feature correlations, computed lazily and cached.
-        ff_cache: Dict[Tuple[int, int], float] = {}
+        r_cf = coded.class_su()
+        # Feature-feature correlations, filled one expansion at a time:
+        # expanding S needs SU(s, j) for s in S and every candidate j,
+        # and only the pairs with the newest member of S are not known.
+        ff = np.full((n_features, n_features), np.nan)
+        su_pairs = 0
 
-        def r_ff(i: int, j: int) -> float:
-            key = (i, j) if i < j else (j, i)
-            if key not in ff_cache:
-                ff_cache[key] = symmetrical_uncertainty(Xd[:, key[0]], Xd[:, key[1]])
-            return ff_cache[key]
+        def fill(subset: FrozenSet[int], candidates: List[int]) -> int:
+            members = np.fromiter(subset, dtype=np.int64)
+            cand = np.asarray(candidates, dtype=np.int64)
+            m, c = np.nonzero(np.isnan(ff[np.ix_(members, cand)]))
+            if m.size == 0:
+                return 0
+            lo = np.minimum(members[m], cand[c])
+            hi = np.maximum(members[m], cand[c])
+            ff[lo, hi] = ff[hi, lo] = coded.pair_su(lo, hi)
+            return int(m.size)
 
         def merit(subset: FrozenSet[int]) -> float:
+            # The summation order (set iteration for r_cf, sorted pairs
+            # for r_ff) is part of the result: merits, and so ties in
+            # the search, must repeat bit for bit.
             k = len(subset)
             if k == 0:
                 return 0.0
@@ -167,8 +273,9 @@ class CfsSubsetSelector:
             members = sorted(subset)
             sum_ff = 0.0
             for a in range(k):
+                row = ff[members[a]]
                 for b in range(a + 1, k):
-                    sum_ff += r_ff(members[a], members[b])
+                    sum_ff += row[members[b]]
             denom = np.sqrt(k + 2.0 * sum_ff)
             return float(sum_cf / denom) if denom > 0 else 0.0
 
@@ -189,6 +296,8 @@ class CfsSubsetSelector:
                 candidates: List[int] = []
             else:
                 candidates = [j for j in range(n_features) if j not in subset]
+            if subset and candidates:
+                su_pairs += fill(subset, candidates)
             for j in candidates:
                 child = subset | {j}
                 if child in visited:
@@ -207,9 +316,10 @@ class CfsSubsetSelector:
         # member's individual information gain (what Tables 2/5 show).
         selected = sorted(best_subset, key=lambda j: -r_cf[j])
         scores = [information_gain(y, Xd[:, j]) for j in selected]
-        return SelectionResult(
+        result = SelectionResult(
             selected=[int(j) for j in selected],
             scores=[float(s) for s in scores],
             names=[names[j] for j in selected] if names is not None else None,
             merit=float(best_merit),
         )
+        return result, counter, su_pairs

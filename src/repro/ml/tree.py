@@ -9,9 +9,10 @@ It supports the features the paper's Weka pipeline depends on:
 * Probability estimates from leaf class frequencies (used for the
   forest's soft voting).
 
-Split search is vectorised: for each candidate feature the rows are
-sorted once and class-count prefix sums give the impurity of every
-possible threshold in O(n * k).
+Split search is vectorised across the candidate features of a node:
+one stable column-wise sort and one class-count prefix sum give the
+impurity of every possible threshold of every feature in
+O(n * m * k).
 """
 
 from __future__ import annotations
@@ -238,7 +239,18 @@ class DecisionTreeClassifier:
         return node
 
     def _best_split(self, X, y, w, indices):
-        """Return (feature, threshold) of the impurity-minimising split."""
+        """Return (feature, threshold) of the impurity-minimising split.
+
+        All candidate features are scored in one pass: a stable
+        column-wise sort of the node's ``(n, m)`` feature block, one
+        ``(n, m, k)`` class-count prefix sum, and one impurity
+        evaluation over every ``(boundary, feature)`` cell.  Each cell
+        goes through the same float operations a per-feature scan would
+        apply to it, so the gains are identical.  The winner is the
+        first feature, in draw order, whose best gain strictly beats
+        the running best (floor ``1e-12``), at the first boundary that
+        reaches that gain.
+        """
         n = indices.size
         k = self.n_classes_
         y_node = y[indices]
@@ -257,66 +269,52 @@ class DecisionTreeClassifier:
         else:
             features = np.arange(self.n_features_)
 
-        best_gain = 1e-12
-        best: Optional[tuple] = None
+        cols = X[indices[:, None], features]
+        order = np.argsort(cols, axis=0, kind="mergesort")
+        v = cols[order, np.arange(features.size)]
+        # A cut after sorted row i is valid only where the value
+        # changes (NaN never compares greater, so it is never cut on).
+        valid = v[1:] > v[:-1]
         min_leaf = self.min_samples_leaf
+        if min_leaf > 1:
+            pos = np.arange(n - 1)
+            valid[(pos + 1 < min_leaf) | (n - pos - 1 < min_leaf)] = False
+        if not valid.any():
+            return None
 
-        # One-hot label matrix built once per node; each feature only
-        # reorders its rows.  Reordering a scatter equals scattering the
-        # reordered labels, so the prefix sums (and the chosen split)
-        # are unchanged.  With weights, the scatter carries each row's
-        # weight and the prefix sums become weighted class masses.
+        # One-hot label rows (weighted if need be), gathered into each
+        # feature's sort order: left class counts at every cut.
         onehot = np.zeros((n, k))
         onehot[np.arange(n), y_node] = 1.0
         if w is not None:
             onehot *= w[indices][:, None]
+        left_counts = np.cumsum(onehot[order[:-1]], axis=0)
+        right_counts = parent_counts - left_counts
         total = parent_counts.sum()
-
-        for feat in features:
-            col = X[indices, feat]
-            order = np.argsort(col, kind="mergesort")
-            v = col[order]
-            if v[0] == v[-1]:
-                continue
-            # one-hot prefix sums -> left counts at every cut position
-            prefix = np.cumsum(onehot[order], axis=0)
-            # valid cut after position i (1-based count i+1 on the left)
-            # only where the value changes
-            boundaries = np.nonzero(np.diff(v) > 0)[0]
-            if boundaries.size == 0:
-                continue
-            if min_leaf > 1:
-                boundaries = boundaries[
-                    (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
-                ]
-                if boundaries.size == 0:
-                    continue
-            left_counts = prefix[boundaries]
-            right_counts = parent_counts - left_counts
-            n_left = left_counts.sum(axis=1)
-            n_right = total - n_left
+        n_left = left_counts.sum(axis=2)
+        n_right = total - n_left
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pl = left_counts / n_left[..., None]
+            pr = right_counts / n_right[..., None]
             if self.criterion == "gini":
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    gl = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-                    gr = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+                gl = 1.0 - (pl**2).sum(axis=2)
+                gr = 1.0 - (pr**2).sum(axis=2)
             else:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    pl = left_counts / n_left[:, None]
-                    pr = right_counts / n_right[:, None]
-                    gl = -np.nansum(np.where(pl > 0, pl * np.log2(pl), 0.0), axis=1)
-                    gr = -np.nansum(np.where(pr > 0, pr * np.log2(pr), 0.0), axis=1)
+                gl = -np.where(pl > 0, pl * np.log2(pl), 0.0).sum(axis=2)
+                gr = -np.where(pr > 0, pr * np.log2(pr), 0.0).sum(axis=2)
             child = (n_left * gl + n_right * gr) / total
-            gains = parent_imp - child
-            # A zero-weight side divides by zero above; such cuts carry
-            # no information and must not win the argmax as NaN would.
-            gains = np.where(np.isfinite(gains), gains, -np.inf)
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                cut_pos = int(boundaries[best_local])
-                thr = 0.5 * (v[cut_pos] + v[cut_pos + 1])
-                best = (int(feat), float(thr))
-        return best
+        gains = parent_imp - child
+        # A zero-weight side divides by zero above; such cuts carry no
+        # information and must not win the argmax as NaN would.
+        gains = np.where(valid & np.isfinite(gains), gains, -np.inf)
+
+        per_feature = gains.max(axis=0)
+        best_col = int(np.argmax(per_feature))
+        if not per_feature[best_col] > 1e-12:
+            return None
+        cut_pos = int(np.argmax(gains[:, best_col]))
+        thr = 0.5 * (v[cut_pos, best_col] + v[cut_pos + 1, best_col])
+        return int(features[best_col]), float(thr)
 
     # ------------------------------------------------------------------
     # Prediction

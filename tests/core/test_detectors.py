@@ -76,6 +76,15 @@ class TestStallDetector:
         report = fitted_stall.cross_validate(stall_records, n_splits=3)
         assert 0.5 < report.accuracy <= 1.0
 
+    def test_cross_validate_singleton_class(self, fitted_stall, stall_records):
+        labels = np.array(["no stalls"] * len(stall_records), dtype=object)
+        labels[1::2] = "mild stalls"
+        labels[0] = "severe stalls"
+        report = fitted_stall.cross_validate(stall_records, labels=labels)
+        supports = {row.label: row.support for row in report.classes}
+        assert supports["severe stalls"] == 1
+        assert sum(supports.values()) == len(stall_records)
+
 
 class TestRepresentationDetector:
     def test_fit_and_predict(self, fitted_representation, adaptive_records):
@@ -99,6 +108,21 @@ class TestRepresentationDetector:
     def test_label_order_in_report(self, fitted_representation, adaptive_records):
         report = fitted_representation.evaluate(adaptive_records)
         assert report.labels == ["LD", "SD", "HD"]
+
+    def test_cross_validate_singleton_class(
+        self, fitted_representation, adaptive_records
+    ):
+        # A corpus holding a single HD session used to raise
+        # "n_splits=2 > smallest class size 1".
+        labels = fitted_representation.labels_for(adaptive_records).copy()
+        labels[labels == "HD"] = "SD"
+        labels[0] = "HD"
+        report = fitted_representation.cross_validate(
+            adaptive_records, labels=labels
+        )
+        supports = {row.label: row.support for row in report.classes}
+        assert supports["HD"] == 1
+        assert sum(supports.values()) == len(adaptive_records)
 
 
 class TestSwitchDetector:

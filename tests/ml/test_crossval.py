@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.ml.crossval import cross_validate, stratified_kfold, train_test_split
+from repro.ml.crossval import (
+    clamped_cross_validate,
+    cross_validate,
+    stratified_kfold,
+    train_test_split,
+)
 from repro.ml.forest import RandomForestClassifier
 
 
@@ -129,3 +134,59 @@ class TestCrossValidate:
             labels=["b", "a"],
         )
         assert report.labels == ["b", "a"]
+
+
+class TestClampedCrossValidate:
+    @staticmethod
+    def _factory():
+        return RandomForestClassifier(n_estimators=5, random_state=0)
+
+    def test_equals_cross_validate_with_clamped_folds(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(90, 3))
+        y = np.array([0] * 60 + [1] * 26 + [2] * 4)
+        for asked, used in ((10, 4), (3, 3), (1, 2)):
+            clamped = clamped_cross_validate(
+                self._factory, X, y, n_splits=asked, random_state=0
+            )
+            direct = cross_validate(
+                self._factory, X, y, n_splits=used, random_state=0
+            )
+            assert clamped.classes == direct.classes
+            assert np.array_equal(clamped.matrix, direct.matrix)
+
+    def test_singleton_class_yields_report(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(41, 3))
+        y = np.array(["a"] * 25 + ["b"] * 15 + ["c"])
+        with pytest.raises(ValueError):
+            cross_validate(self._factory, X, y, n_splits=2, random_state=0)
+        report = clamped_cross_validate(
+            self._factory, X, y, n_splits=10, random_state=0,
+            labels=["a", "b", "c"],
+        )
+        rows = {row.label: row for row in report.classes}
+        assert sum(row.support for row in rows.values()) == y.size
+        # Tested by a model that never saw its class: an honest miss.
+        assert rows["c"].support == 1
+        assert rows["c"].recall == 0.0
+
+
+def test_cross_validate_opens_span_with_folds():
+    from repro.obs.tracing import Tracer, set_tracer
+
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(60, 2))
+    y = np.array([0, 1] * 30)
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        cross_validate(
+            lambda: RandomForestClassifier(n_estimators=3, random_state=0),
+            X, y, n_splits=4, random_state=0,
+        )
+    finally:
+        set_tracer(previous)
+    (node,) = [r for r in tracer.roots() if r.name == "ml.crossval"]
+    assert node.count == 1
+    assert node.counters["folds"] == 4

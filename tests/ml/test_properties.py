@@ -120,3 +120,47 @@ def test_tree_proba_is_distribution(seed):
     proba = tree.predict_proba(X)
     assert np.all(proba >= 0)
     np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+
+@st.composite
+def _tree_problems(draw):
+    """Small matrices with ties, constant columns and NaN holes."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    n_features = draw(st.integers(min_value=1, max_value=6))
+    n_classes = draw(st.integers(min_value=2, max_value=4))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.sampled_from([2, 5, 1000]))   # few levels -> ties
+    X = rng.integers(0, levels, size=(n, n_features)) / 7.0
+    X[rng.random((n, n_features)) < draw(st.sampled_from([0.0, 0.15]))] = np.nan
+    if draw(st.booleans()):
+        X[:, rng.integers(n_features)] = 1.5       # a constant column
+    y = rng.integers(0, n_classes, size=n)
+    weights = draw(st.sampled_from(["none", "positive", "zeros"]))
+    w = None
+    if weights != "none":
+        w = rng.uniform(0.1, 2.0, size=n)
+        if weights == "zeros":
+            w[rng.random(n) < 0.3] = 0.0
+            w[0] = 1.0                              # never all zero
+    params = dict(
+        criterion=draw(st.sampled_from(["gini", "entropy"])),
+        max_features=draw(st.sampled_from([None, "sqrt", 1])),
+        min_samples_leaf=draw(st.integers(min_value=1, max_value=3)),
+        max_depth=draw(st.sampled_from([None, 3])),
+        random_state=seed,
+    )
+    return X, y, w, params
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tree_problems())
+def test_tree_bit_identical_to_reference_split(problem):
+    """Whole fitted trees equal trees grown with the per-feature
+    reference split search, array for array."""
+    from tests.ml.test_tree import assert_same_tree, fit_with_reference_split
+
+    X, y, w, params = problem
+    fast = DecisionTreeClassifier(**params).fit(X, y, sample_weight=w)
+    slow = fit_with_reference_split(params, X, y, sample_weight=w)
+    assert_same_tree(fast, slow)

@@ -1,9 +1,12 @@
 """Unit tests for the CART decision tree."""
 
+import copy
+import types
+
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _impurity
 
 
 def _separable(n=200, seed=0):
@@ -133,80 +136,146 @@ class TestImportances:
         assert importances[0] > 0.8
 
 
-class TestSplitSearchEquivalence:
-    """The hoisted one-hot split search must match the per-feature
-    scatter it replaced, split for split."""
+def reference_best_split(tree, X, y, w, indices):
+    """Per-feature split search: the oracle for the vectorised one.
 
-    @staticmethod
-    def _reference_best_split(tree, X, y, indices):
-        """The pre-hoist split search: one-hot rebuilt per feature."""
-        from repro.ml.tree import _impurity
-
-        n = indices.size
-        k = tree.n_classes_
-        y_node = y[indices]
+    One sort, prefix sum and impurity scan per candidate feature, in
+    draw order.  It consumes the tree's RNG exactly as
+    ``DecisionTreeClassifier._best_split`` does (one ``choice`` per
+    node), so a tree grown with it must be bit-identical.
+    """
+    n = indices.size
+    k = tree.n_classes_
+    y_node = y[indices]
+    if w is None:
         parent_counts = np.bincount(y_node, minlength=k).astype(float)
-        parent_imp = _impurity(parent_counts, tree.criterion)
-        if parent_imp <= 0:
-            return None
+    else:
+        parent_counts = np.bincount(y_node, weights=w[indices], minlength=k)
+    parent_imp = _impurity(parent_counts, tree.criterion)
+    if parent_imp <= 0:
+        return None
+    if tree._n_sub < tree.n_features_:
+        features = tree._rng.choice(
+            tree.n_features_, size=tree._n_sub, replace=False
+        )
+    else:
         features = np.arange(tree.n_features_)
-        best_gain = 1e-12
-        best = None
-        min_leaf = tree.min_samples_leaf
-        for feat in features:
-            col = X[indices, feat]
-            order = np.argsort(col, kind="mergesort")
-            v = col[order]
-            labels = y_node[order]
-            if v[0] == v[-1]:
-                continue
-            onehot = np.zeros((n, k))
-            onehot[np.arange(n), labels] = 1.0
-            prefix = np.cumsum(onehot, axis=0)
-            boundaries = np.nonzero(np.diff(v) > 0)[0]
+    best_gain = 1e-12
+    best = None
+    min_leaf = tree.min_samples_leaf
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y_node] = 1.0
+    if w is not None:
+        onehot *= w[indices][:, None]
+    total = parent_counts.sum()
+    for feat in features:
+        col = X[indices, feat]
+        order = np.argsort(col, kind="mergesort")
+        v = col[order]
+        if v[0] == v[-1]:
+            continue
+        prefix = np.cumsum(onehot[order], axis=0)
+        boundaries = np.nonzero(np.diff(v) > 0)[0]
+        if boundaries.size == 0:
+            continue
+        if min_leaf > 1:
+            boundaries = boundaries[
+                (boundaries + 1 >= min_leaf) & (n - boundaries - 1 >= min_leaf)
+            ]
             if boundaries.size == 0:
                 continue
-            if min_leaf > 1:
-                boundaries = boundaries[
-                    (boundaries + 1 >= min_leaf)
-                    & (n - boundaries - 1 >= min_leaf)
-                ]
-                if boundaries.size == 0:
-                    continue
-            left_counts = prefix[boundaries]
-            right_counts = parent_counts - left_counts
-            n_left = left_counts.sum(axis=1)
-            n_right = n - n_left
-            with np.errstate(invalid="ignore", divide="ignore"):
+        left_counts = prefix[boundaries]
+        right_counts = parent_counts - left_counts
+        n_left = left_counts.sum(axis=1)
+        n_right = total - n_left
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if tree.criterion == "gini":
                 gl = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
                 gr = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-            child = (n_left * gl + n_right * gr) / n
-            gains = parent_imp - child
-            best_local = int(np.argmax(gains))
-            if gains[best_local] > best_gain:
-                best_gain = float(gains[best_local])
-                cut_pos = int(boundaries[best_local])
-                thr = 0.5 * (v[cut_pos] + v[cut_pos + 1])
-                best = (int(feat), float(thr))
-        return best
+            else:
+                pl = left_counts / n_left[:, None]
+                pr = right_counts / n_right[:, None]
+                gl = -np.nansum(np.where(pl > 0, pl * np.log2(pl), 0.0), axis=1)
+                gr = -np.nansum(np.where(pr > 0, pr * np.log2(pr), 0.0), axis=1)
+            child = (n_left * gl + n_right * gr) / total
+        gains = parent_imp - child
+        gains = np.where(np.isfinite(gains), gains, -np.inf)
+        best_local = int(np.argmax(gains))
+        if gains[best_local] > best_gain:
+            best_gain = float(gains[best_local])
+            cut_pos = int(boundaries[best_local])
+            thr = 0.5 * (v[cut_pos] + v[cut_pos + 1])
+            best = (int(feat), float(thr))
+    return best
+
+
+def fit_with_reference_split(params, X, y, sample_weight=None):
+    """A tree grown with :func:`reference_best_split` at every node."""
+    tree = DecisionTreeClassifier(**params)
+    tree._best_split = types.MethodType(reference_best_split, tree)
+    return tree.fit(X, y, sample_weight=sample_weight)
+
+
+def assert_same_tree(a, b):
+    for attr in ("_feature", "_threshold", "_left", "_right", "_value"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+def _awkward_matrix(rng, n, n_classes):
+    """Continuous, tied, constant and NaN-holed columns plus labels."""
+    X = rng.normal(size=(n, 7))
+    X[:, 1] = np.round(X[:, 1])            # heavy ties
+    X[:, 2] = 3.0                          # constant
+    X[:, 3] = rng.integers(0, 2, size=n)   # two values only
+    X[rng.random(n) < 0.2, 4] = np.nan     # NaN entries
+    X[:, 5] = np.nan                       # all NaN
+    cuts = np.linspace(-0.8, 0.8, n_classes - 1)
+    y = np.digitize(X[:, 0] + 0.4 * X[:, 1] + 0.3 * rng.normal(size=n), cuts)
+    return X, y
+
+
+class TestSplitSearchEquivalence:
+    """The vectorised split search must match the per-feature oracle,
+    split for split, on every option that reaches it."""
+
+    CASES = [
+        dict(criterion=criterion, min_samples_leaf=leaf, max_features=mf)
+        for criterion in ("gini", "entropy")
+        for leaf in (1, 4)
+        for mf in (None, "sqrt", 3)
+    ]
+
+    @staticmethod
+    def _weights(rng, n, kind):
+        if kind == "none":
+            return None
+        w = rng.uniform(0.1, 3.0, size=n)
+        if kind == "zeros":
+            w[rng.random(n) < 0.3] = 0.0
+        return w
 
     def test_best_split_matches_per_feature_reference(self):
-        rng = np.random.default_rng(11)
-        X = rng.normal(size=(200, 6))
-        X[:, 3] = np.round(X[:, 3])   # ties, so boundaries thin out
-        y_raw = np.digitize(X[:, 0] + 0.3 * X[:, 1], [-0.6, 0.6])
-        for min_leaf in (1, 5):
-            tree = DecisionTreeClassifier(min_samples_leaf=min_leaf)
-            tree.fit(X, y_raw)   # sets n_classes_/n_features_/_rng
-            y_enc = np.unique(y_raw, return_inverse=True)[1]
-            for seed in range(5):
-                idx_rng = np.random.default_rng(seed)
-                indices = np.sort(
-                    idx_rng.choice(X.shape[0], size=80, replace=False)
-                )
-                assert tree._best_split(
-                    X, y_enc, None, indices
-                ) == self._reference_best_split(tree, X, y_enc, indices)
+        for n_classes in (2, 3, 4):
+            for weights in ("none", "positive", "zeros"):
+                rng = np.random.default_rng(100 + 10 * n_classes + len(weights))
+                X, y = _awkward_matrix(rng, 120, n_classes)
+                w = self._weights(rng, y.size, weights)
+                y_enc = np.unique(y, return_inverse=True)[1]
+                for params in self.CASES:
+                    tree = DecisionTreeClassifier(random_state=7, **params)
+                    tree.fit(X, y, sample_weight=w)   # sets n_classes_, _rng
+                    for seed in range(4):
+                        indices = np.sort(
+                            np.random.default_rng(seed).choice(
+                                y.size, size=40 + 20 * seed, replace=False
+                            )
+                        )
+                        draws = copy.deepcopy(tree._rng)
+                        fast = tree._best_split(X, y_enc, w, indices)
+                        tree._rng = draws
+                        assert fast == reference_best_split(
+                            tree, X, y_enc, w, indices
+                        )
 
     def test_fitted_trees_bit_identical_predictions(self):
         rng = np.random.default_rng(12)
@@ -217,6 +286,41 @@ class TestSplitSearchEquivalence:
         assert np.array_equal(a._threshold, b._threshold)
         assert np.array_equal(a._feature, b._feature)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
+    def test_all_constant_node_has_no_split(self):
+        X = np.ones((10, 3))
+        y = np.array([0, 1] * 5)
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert tree.node_count == 1
+        assert tree._best_split(X, y, None, np.arange(10)) is None
+
+    def test_float_noise_gain_does_not_split(self):
+        # Each x value holds one row of each class with equal weight, so
+        # every cut keeps the parent's class mix; rounding leaves gains
+        # of a few ulps, which the 1e-12 floor must reject.
+        rng = np.random.default_rng(32)
+        n_vals = int(rng.integers(2, 7))
+        X = np.repeat(np.arange(n_vals, dtype=float), 2)[:, None]
+        y = np.tile([0, 1], n_vals)
+        w = np.repeat(rng.uniform(0.1, 3, size=n_vals), 2)
+        tree = DecisionTreeClassifier().fit(X, y, sample_weight=w)
+        assert tree.node_count == 1
+        indices = np.arange(y.size)
+        assert tree._best_split(X, y, w, indices) is None
+        assert reference_best_split(tree, X, y, w, indices) is None
+
+    @pytest.mark.parametrize("params", CASES)
+    def test_fitted_trees_match_reference(self, params):
+        rng = np.random.default_rng(12)
+        X, y = _awkward_matrix(rng, 300, 3)
+        for w in (None, self._weights(rng, y.size, "zeros")):
+            fast = DecisionTreeClassifier(random_state=5, **params).fit(
+                X, y, sample_weight=w
+            )
+            slow = fit_with_reference_split(
+                dict(random_state=5, **params), X, y, sample_weight=w
+            )
+            assert_same_tree(fast, slow)
 
 
 class TestSampleWeight:
