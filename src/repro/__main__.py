@@ -5,7 +5,7 @@ Commands
 ``experiments``
     Regenerate every table and figure of the paper (``--full`` for the
     benchmark-scale corpora, ``--id tab3_4`` for one experiment).
-    ``--jobs N`` fans forest fitting/scoring, CV folds, and large
+    ``--jobs N`` fans forest fitting, CV folds, and large
     feature builds out over N worker processes (results are identical
     for any N; see docs/ARCHITECTURE.md "Parallel execution").
     ``--feature-engine`` selects the columnar batch engine (default)
@@ -512,7 +512,7 @@ def main(argv=None) -> int:
         default=1,
         metavar="N",
         help=(
-            "worker processes for forest fitting/scoring, CV folds, and "
+            "worker processes for forest fitting, CV folds, and "
             "feature builds (1 serial, -1 all cores; results identical "
             "for any value)"
         ),

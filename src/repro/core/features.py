@@ -32,10 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.featurex.engine import ModelSpec, build_matrix as _engine_build
-from repro.core.featurex.series import (
-    representation_group_series,
-    stall_group_series,
-)
+from repro.core.featurex.series import BASE_METRIC_FIELDS, group_series
 from repro.datasets.schema import SessionRecord
 from repro.timeseries.stats import (
     SUMMARY_STATS_BASIC,
@@ -109,50 +106,52 @@ REPRESENTATION_METRICS: Dict[str, Callable[[SessionRecord], np.ndarray]] = {
 }
 
 
+def _record_series(
+    record: SessionRecord, metrics: Sequence[str]
+) -> Dict[str, np.ndarray]:
+    """The requested per-chunk series of one record.
+
+    Base metrics are the record's own arrays; derived series are
+    computed only when asked for, and ``_chunk_throughput_kbps`` is
+    computed once for "throughput" and "cumsum throughput" instead of
+    being re-derived per metric as the reference
+    ``REPRESENTATION_METRICS`` lambdas would.
+    """
+    out: Dict[str, np.ndarray] = {}
+    throughput = None
+    for metric in metrics:
+        field = BASE_METRIC_FIELDS.get(metric)
+        if field is not None:
+            out[metric] = getattr(record, field)
+        elif metric == "chunk time":
+            out[metric] = _relative_times(record)
+        elif metric == "chunk avg size":
+            out[metric] = _running_mean(record.sizes)
+        elif metric == "chunk Δsize":
+            out[metric] = np.abs(np.diff(record.sizes))
+        elif metric == "chunk Δt":
+            out[metric] = np.diff(_relative_times(record))
+        elif metric in ("throughput", "cumsum throughput"):
+            if throughput is None:
+                throughput = _chunk_throughput_kbps(record)
+            out[metric] = (
+                throughput if metric == "throughput" else np.cumsum(throughput)
+            )
+        else:
+            raise KeyError(f"unknown metric {metric!r}")
+    return out
+
+
 def _stall_record_series(record: SessionRecord) -> Dict[str, np.ndarray]:
-    """The 10 stall-model series of one record (base series shared)."""
-    return {
-        "RTT minimum": record.rtt_min,
-        "RTT average": record.rtt_avg,
-        "RTT maximum": record.rtt_max,
-        "BDP": record.bdp,
-        "BIF avg": record.bif_avg,
-        "BIF maximum": record.bif_max,
-        "packet loss": record.loss_pct,
-        "packet retransmissions": record.retx_pct,
-        "chunk size": record.sizes,
-        "chunk time": _relative_times(record),
-    }
+    """The 10 stall-model series of one record."""
+    return _record_series(record, tuple(STALL_METRICS))
 
 
 def _representation_record_series(
     record: SessionRecord,
 ) -> Dict[str, np.ndarray]:
-    """The 14 §4.2 series of one record.
-
-    ``_chunk_throughput_kbps`` and ``_relative_times`` are computed
-    once and shared by their dependent metrics ("throughput" /
-    "cumsum throughput", "chunk Δt") instead of being re-derived per
-    metric as the reference ``REPRESENTATION_METRICS`` lambdas would.
-    """
-    rel_times = _relative_times(record)
-    throughput = _chunk_throughput_kbps(record)
-    return {
-        "RTT minimum": record.rtt_min,
-        "RTT average": record.rtt_avg,
-        "RTT maximum": record.rtt_max,
-        "BDP": record.bdp,
-        "BIF avg": record.bif_avg,
-        "BIF maximum": record.bif_max,
-        "packet loss": record.loss_pct,
-        "packet retransmissions": record.retx_pct,
-        "chunk size": record.sizes,
-        "chunk avg size": _running_mean(record.sizes),
-        "chunk Δsize": np.abs(np.diff(record.sizes)),
-        "chunk Δt": np.diff(rel_times),
-        "throughput": throughput,
-        "cumsum throughput": np.cumsum(throughput),
-    }
+    """The 14 §4.2 series of one record."""
+    return _record_series(record, tuple(REPRESENTATION_METRICS))
 
 
 def _expand(
@@ -202,16 +201,16 @@ _SPECS: Dict[str, ModelSpec] = {
         stats=tuple(SUMMARY_STATS_BASIC),
         metric_names=tuple(STALL_METRICS),
         feature_names=tuple(stall_feature_names()),
-        record_features=stall_features,
-        group_series=stall_group_series,
+        record_series=_record_series,
+        group_series=group_series,
     ),
     "representation": ModelSpec(
         name="representation",
         stats=tuple(SUMMARY_STATS_EXTENDED),
         metric_names=tuple(REPRESENTATION_METRICS),
         feature_names=tuple(representation_feature_names()),
-        record_features=representation_features,
-        group_series=representation_group_series,
+        record_series=_record_series,
+        group_series=group_series,
     ),
 }
 
@@ -231,19 +230,22 @@ def build_stall_matrix(
     engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
+    columns: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_sessions, 70) stall feature matrix + column names.
 
     ``engine`` selects the columnar batch engine (default) or the
     per-record oracle; ``n_jobs`` fans large builds out in row chunks;
     ``cache`` consults the content-addressed matrix cache.  All three
-    only change wall-clock, never a value.
+    only change wall-clock, never a value.  ``columns`` builds only
+    those columns (``full[:, columns]``, with their names).
     """
     spec = _SPECS["stall"]
     matrix = _engine_build(
-        records, spec, engine=engine, n_jobs=n_jobs, cache=cache
+        records, spec, engine=engine, n_jobs=n_jobs, cache=cache,
+        columns=columns,
     )
-    return matrix, list(spec.feature_names)
+    return matrix, _names(spec, columns)
 
 
 def build_representation_matrix(
@@ -251,14 +253,22 @@ def build_representation_matrix(
     engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
+    columns: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_sessions, 210) representation feature matrix + column names.
 
     See :func:`build_stall_matrix` for the ``engine``/``n_jobs``/
-    ``cache`` knobs.
+    ``cache``/``columns`` knobs.
     """
     spec = _SPECS["representation"]
     matrix = _engine_build(
-        records, spec, engine=engine, n_jobs=n_jobs, cache=cache
+        records, spec, engine=engine, n_jobs=n_jobs, cache=cache,
+        columns=columns,
     )
-    return matrix, list(spec.feature_names)
+    return matrix, _names(spec, columns)
+
+
+def _names(spec: ModelSpec, columns: Optional[Sequence[int]]) -> List[str]:
+    if columns is None:
+        return list(spec.feature_names)
+    return [spec.feature_names[c] for c in columns]

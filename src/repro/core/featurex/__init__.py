@@ -28,7 +28,8 @@ handful of large array passes:
     record arrays + a feature-set version key): in-memory LRU plus an
     optional on-disk layer under the experiment workspace.
 ``engine``
-    Orchestration: engine selection (``"columnar"`` / ``"per-record"``),
+    Orchestration: column plans (build only the columns a detector
+    selected), engine selection (``"columnar"`` / ``"per-record"``),
     row-chunk fan-out through :mod:`repro.ml.parallel`, cache lookups,
     and :mod:`repro.obs` instrumentation.
 
@@ -51,6 +52,11 @@ rests on two facts, enforced by the property suite in
   the very same :func:`repro.timeseries.stats.summary_statistics` the
   per-record path uses, so the NaN/inf-filter and empty-series → 0.0
   rules are shared code, not a reimplementation.
+* A column subset (``build_matrix(..., columns=c)``) equals
+  ``full[:, c]``: it computes fewer metrics and statistics, but each
+  statistic's value does not depend on which others are computed
+  beside it — a smaller fused percentile call interpolates each point
+  from the same order statistics.
 """
 
 from .cache import (
@@ -63,8 +69,11 @@ from .cache import (
 from .engine import (
     DEFAULT_ENGINE,
     ENGINES,
+    ColumnPlan,
     ModelSpec,
     build_matrix,
+    column_plan,
+    record_row,
     get_default_engine,
     set_default_engine,
 )
@@ -72,6 +81,7 @@ from .ragged import BASE_FIELDS, LengthGroup, RaggedBatch, pack_records
 
 __all__ = [
     "BASE_FIELDS",
+    "ColumnPlan",
     "DEFAULT_ENGINE",
     "ENGINES",
     "FEATURE_SET_VERSION",
@@ -81,9 +91,11 @@ __all__ = [
     "ModelSpec",
     "RaggedBatch",
     "build_matrix",
+    "column_plan",
     "configure_cache",
     "get_cache",
     "get_default_engine",
     "pack_records",
+    "record_row",
     "set_default_engine",
 ]

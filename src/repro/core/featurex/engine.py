@@ -8,6 +8,10 @@
   the reference oracle / escape hatch; overridable per call, via
   :func:`set_default_engine`, or the ``REPRO_FEATURE_ENGINE``
   environment variable),
+* builds only the columns a caller asks for (a fitted detector's
+  selection): a :class:`ColumnPlan` names the metrics and statistics
+  those columns read, and the full matrix is the plan over every
+  column,
 * consults the content-addressed cache (sha256 over the packed record
   arrays + feature-set version) before building anything,
 * fans large builds out in row chunks through the
@@ -22,7 +26,9 @@ only change wall-clock, never a value.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ import numpy as np
 from repro.datasets.schema import SessionRecord
 from repro.ml.parallel import block_ranges, effective_n_jobs, run_tasks
 from repro.obs import get_registry, trace
+from repro.timeseries.stats import summary_statistics
 
 from .cache import batch_key, get_cache
 from .ragged import RaggedBatch, pack_records
@@ -41,8 +48,12 @@ from .stats import grouped_summary
 __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
+    "ColumnPlan",
+    "MetricRead",
     "ModelSpec",
     "build_matrix",
+    "column_plan",
+    "record_row",
     "get_default_engine",
     "set_default_engine",
 ]
@@ -96,22 +107,113 @@ def set_default_engine(engine: str) -> None:
     _default_engine = engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Everything the engine needs to build one feature model.
 
-    ``record_features`` is the per-record oracle (one session in, the
-    name → value dict out); ``group_series`` the batch twin producing
-    dense metric matrices for one length group.  ``feature_names`` is
-    ``metric × stat`` in canonical column order.
+    ``record_series`` is the per-record oracle (one session and the
+    metric names in, the name → 1-D series mapping out);
+    ``group_series`` the batch twin producing dense metric matrices for
+    one length group.  ``feature_names`` is ``metric × stat`` in
+    canonical column order.  Specs compare and hash by identity.
     """
 
     name: str
     stats: Tuple[str, ...]
     metric_names: Tuple[str, ...]
     feature_names: Tuple[str, ...]
-    record_features: Callable[[SessionRecord], Dict[str, float]]
-    group_series: Callable[[Dict[str, np.ndarray]], Dict[str, np.ndarray]]
+    record_series: Callable[
+        [SessionRecord, Sequence[str]], Dict[str, np.ndarray]
+    ]
+    group_series: Callable[
+        [Dict[str, np.ndarray], Sequence[str]], Dict[str, np.ndarray]
+    ]
+
+
+@dataclass(frozen=True)
+class MetricRead:
+    """The statistics one metric must supply to a column subset.
+
+    ``stats`` are the statistics to compute, in the model's canonical
+    order; output column ``columns[k]`` takes statistic
+    ``column_stats[k]``.
+    """
+
+    metric: str
+    stats: Tuple[str, ...]
+    columns: Tuple[int, ...]
+    column_stats: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ColumnPlan:
+    """What building a column subset of one model reads.
+
+    ``columns`` are the requested feature columns, in output order
+    (repeats allowed, as in ``matrix[:, columns]``); ``reads`` lists
+    the metrics they touch, in canonical order.  The full matrix is the
+    plan over every column.
+    """
+
+    spec: ModelSpec
+    columns: Tuple[int, ...]
+    reads: Tuple[MetricRead, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.columns)
+
+    @property
+    def metrics(self) -> Tuple[str, ...]:
+        return tuple(read.metric for read in self.reads)
+
+
+def column_plan(
+    spec: ModelSpec, columns: Optional[Sequence[int]] = None
+) -> ColumnPlan:
+    """The (memoised) plan of ``columns``; ``None`` is every column.
+
+    Indices follow ``matrix[:, columns]``: negative ones count from the
+    end, and one out of range raises ``IndexError``.
+    """
+    return _plan(spec, None if columns is None else tuple(columns))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(spec: ModelSpec, columns: Optional[Tuple[int, ...]]) -> ColumnPlan:
+    width = len(spec.feature_names)
+    if columns is None:
+        columns = tuple(range(width))
+    normalised = []
+    for column in columns:
+        column = operator.index(column)
+        if not -width <= column < width:
+            raise IndexError(
+                f"column {column} is out of bounds for {width} "
+                f"{spec.name} features"
+            )
+        normalised.append(column % width)
+    n_stats = len(spec.stats)
+    wanted: Dict[int, list] = {}   # metric index -> output positions
+    for position, column in enumerate(normalised):
+        wanted.setdefault(column // n_stats, []).append(position)
+    reads = []
+    for index in sorted(wanted):
+        positions = wanted[index]
+        column_stats = tuple(
+            spec.stats[normalised[p] % n_stats] for p in positions
+        )
+        reads.append(
+            MetricRead(
+                metric=spec.metric_names[index],
+                stats=tuple(s for s in spec.stats if s in column_stats),
+                columns=tuple(positions),
+                column_stats=column_stats,
+            )
+        )
+    return ColumnPlan(
+        spec=spec, columns=tuple(normalised), reads=tuple(reads)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -119,71 +221,87 @@ class ModelSpec:
 # ----------------------------------------------------------------------
 
 
-def _columnar_rows(batch: RaggedBatch, spec: ModelSpec) -> np.ndarray:
-    n_stats = len(spec.stats)
-    out = np.empty(
-        (batch.n_sessions, len(spec.feature_names)), dtype=np.float64
-    )
-    metric_index = {m: i for i, m in enumerate(spec.metric_names)}
+def _columnar_rows(batch: RaggedBatch, plan: ColumnPlan) -> np.ndarray:
+    spec = plan.spec
+    out = np.empty((batch.n_sessions, plan.width), dtype=np.float64)
     for group in batch.groups:
-        series = spec.group_series(group.base)
+        series = spec.group_series(group.base, plan.metrics)
         rows = group.rows.size
-        block = np.empty((rows, out.shape[1]), dtype=np.float64)
+        block = np.empty((rows, plan.width), dtype=np.float64)
         # All metric matrices of equal width stack into one tall block
         # so each statistic is a single NumPy call per group — row
-        # values are unchanged by the stacking, so bit-identity holds.
+        # values are unchanged by the stacking, and a statistic's value
+        # does not depend on which others are computed beside it, so
+        # bit-identity holds.
         by_width: Dict[int, list] = {}
-        for metric in spec.metric_names:
-            by_width.setdefault(series[metric].shape[1], []).append(metric)
-        for metrics in by_width.values():
+        for read in plan.reads:
+            by_width.setdefault(series[read.metric].shape[1], []).append(read)
+        for reads in by_width.values():
             stacked = (
-                series[metrics[0]]
-                if len(metrics) == 1
-                else np.concatenate([series[m] for m in metrics], axis=0)
+                series[reads[0].metric]
+                if len(reads) == 1
+                else np.concatenate([series[r.metric] for r in reads], axis=0)
             )
-            summary = grouped_summary(stacked, spec.stats)
-            for j, metric in enumerate(metrics):
-                index = metric_index[metric]
-                block[:, index * n_stats:(index + 1) * n_stats] = summary[
-                    j * rows:(j + 1) * rows
+            needed = {s for read in reads for s in read.stats}
+            stats = [s for s in spec.stats if s in needed]
+            summary = grouped_summary(stacked, stats)
+            for j, read in enumerate(reads):
+                block[:, read.columns] = summary[
+                    j * rows:(j + 1) * rows,
+                    [stats.index(s) for s in read.column_stats],
                 ]
         out[group.rows] = block
     return out
 
 
 def _per_record_rows(
-    records: Sequence[SessionRecord], spec: ModelSpec
+    records: Sequence[SessionRecord], plan: ColumnPlan
 ) -> np.ndarray:
-    matrix = np.empty(
-        (len(records), len(spec.feature_names)), dtype=np.float64
-    )
+    matrix = np.empty((len(records), plan.width), dtype=np.float64)
     for i, record in enumerate(records):
-        features = spec.record_features(record)
-        matrix[i] = [features[name] for name in spec.feature_names]
+        series = plan.spec.record_series(record, plan.metrics)
+        for read in plan.reads:
+            values = summary_statistics(series[read.metric], stats=read.stats)
+            matrix[i, read.columns] = [values[s] for s in read.column_stats]
     return matrix
 
 
 def _build_rows(
     records: Sequence[SessionRecord],
-    spec: ModelSpec,
+    plan: ColumnPlan,
     engine: str,
     batch: Optional[RaggedBatch] = None,
 ) -> np.ndarray:
     if engine == "columnar":
         return _columnar_rows(
-            batch if batch is not None else pack_records(records), spec
+            batch if batch is not None else pack_records(records), plan
         )
-    return _per_record_rows(records, spec)
+    return _per_record_rows(records, plan)
+
+
+def record_row(
+    record: SessionRecord,
+    spec: ModelSpec,
+    columns: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """One record's feature vector (or its ``columns``), per-record path.
+
+    No cache, fan-out or telemetry: this is the streaming snapshot's
+    exact regime, bit-identical to the row :func:`build_matrix` builds.
+    """
+    return _per_record_rows([record], column_plan(spec, columns))[0]
 
 
 def _block_task(payload) -> np.ndarray:
     """One row-chunk build; module-level so it pickles into the pool."""
-    model, engine, records = payload
+    model, engine, columns, records = payload
     # Lazy import: repro.core.features imports this module at load
     # time, so the spec registry is only reachable after import.
     from repro.core.features import get_model_spec
 
-    return _build_rows(records, get_model_spec(model), engine)
+    return _build_rows(
+        records, column_plan(get_model_spec(model), columns), engine
+    )
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +315,7 @@ def build_matrix(
     engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
+    columns: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Build the (N, F) feature matrix of a record batch.
 
@@ -211,12 +330,20 @@ def build_matrix(
     cache:
         Consult/populate the content-addressed matrix cache.  Cached
         matrices are shared objects — treat them as read-only.
+    columns:
+        Build only these feature columns: the result equals
+        ``build_matrix(records, spec)[:, columns]`` bit for bit, but
+        only the metrics and statistics those columns read are
+        computed.  With ``cache``, a cached full matrix is sliced; a
+        miss builds the subset and caches nothing, since only full
+        matrices are cached.
     """
     engine = engine or _default_engine
     if engine not in ENGINES:
         raise ValueError(
             f"unknown feature engine {engine!r}; known: {', '.join(ENGINES)}"
         )
+    plan = column_plan(spec, columns)
 
     with trace("core.build_feature_matrix") as span:
         span.add("rows", len(records))
@@ -229,7 +356,9 @@ def build_matrix(
             cached = get_cache().get(key, spec.name)
             if cached is not None:
                 span.add("cache_hits")
-                return cached
+                return cached if columns is None else cached[:, plan.columns]
+            if columns is not None:
+                key = None   # only full matrices are cached
 
         started = time.perf_counter()
         jobs = min(effective_n_jobs(n_jobs), max(1, len(records)))
@@ -238,7 +367,7 @@ def build_matrix(
                 _MIN_BLOCK_ROWS, math.ceil(len(records) / jobs)
             )
             payloads = [
-                (spec.name, engine, list(records[start:stop]))
+                (spec.name, engine, plan.columns, list(records[start:stop]))
                 for start, stop in block_ranges(len(records), block)
             ]
             parts = run_tasks(
@@ -246,7 +375,7 @@ def build_matrix(
             )
             matrix = np.vstack(parts)
         else:
-            matrix = _build_rows(records, spec, engine, batch=batch)
+            matrix = _build_rows(records, plan, engine, batch=batch)
         elapsed = time.perf_counter() - started
 
     _BUILDS.labels(model=spec.name, engine=engine).inc()

@@ -1,15 +1,19 @@
 """Batch twins of the per-record metric extractors.
 
-Each builder takes a :class:`~repro.core.featurex.ragged.LengthGroup`'s
+:func:`group_series` takes a :class:`~repro.core.featurex.ragged.LengthGroup`'s
 dense base matrices and returns the metric-name → ``(rows, len)``
-matrix mapping for one model, with each derived series computed by the
-*same elementwise operations, in the same order*, as the per-record
-extractors in :mod:`repro.core.features` — e.g. ``chunk Δt`` is
-``diff(t - t[0])``, not the algebraically equal but
+matrix mapping for the requested metrics only, with each derived series
+computed by the *same elementwise operations, in the same order*, as
+the per-record extractors in :mod:`repro.core.features` — e.g.
+``chunk Δt`` is ``diff(t - t[0])``, not the algebraically equal but
 differently-rounded ``diff(t)``.  Row ``i`` of every matrix is
 bit-identical to the per-record extractor applied to session ``i``
 (``np.cumsum`` along the last axis accumulates sequentially per row,
 exactly like the 1-D call; everything else is elementwise).
+
+Both feature models draw on one metric vocabulary (the stall model's
+``chunk time`` and the §4.2 model's constructed series included), so
+one builder serves both; a model asks for its own metric names.
 
 The property suite asserts this row-for-row against the
 ``STALL_METRICS`` / ``REPRESENTATION_METRICS`` reference definitions,
@@ -18,11 +22,24 @@ so the two copies cannot drift silently.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
-__all__ = ["stall_group_series", "representation_group_series"]
+__all__ = ["BASE_METRIC_FIELDS", "group_series"]
+
+#: Table-1 metrics that are a base field as it stands.
+BASE_METRIC_FIELDS: Dict[str, str] = {
+    "RTT minimum": "rtt_min",
+    "RTT average": "rtt_avg",
+    "RTT maximum": "rtt_max",
+    "BDP": "bdp",
+    "BIF avg": "bif_avg",
+    "BIF maximum": "bif_max",
+    "packet loss": "loss_pct",
+    "packet retransmissions": "retx_pct",
+    "chunk size": "sizes",
+}
 
 
 def _relative_times(base: Dict[str, np.ndarray]) -> np.ndarray:
@@ -40,46 +57,37 @@ def _running_mean(values: np.ndarray) -> np.ndarray:
     return np.cumsum(values, axis=1) / np.arange(1, n + 1, dtype=np.float64)
 
 
-def stall_group_series(base: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """The 10 stall-model metric matrices of one length group."""
-    return {
-        "RTT minimum": base["rtt_min"],
-        "RTT average": base["rtt_avg"],
-        "RTT maximum": base["rtt_max"],
-        "BDP": base["bdp"],
-        "BIF avg": base["bif_avg"],
-        "BIF maximum": base["bif_max"],
-        "packet loss": base["loss_pct"],
-        "packet retransmissions": base["retx_pct"],
-        "chunk size": base["sizes"],
-        "chunk time": _relative_times(base),
-    }
-
-
-def representation_group_series(
-    base: Dict[str, np.ndarray],
+def group_series(
+    base: Dict[str, np.ndarray], metrics: Sequence[str]
 ) -> Dict[str, np.ndarray]:
-    """The 14 §4.2 metric matrices of one length group.
+    """The requested metric matrices of one length group.
 
-    The throughput and relative-time bases are computed once and shared
-    by their dependent metrics, mirroring the per-record path.
+    Base metrics are zero-copy views; derived ones are computed only
+    when asked for, and the throughput matrix is shared by
+    ``throughput`` and ``cumsum throughput`` as on the per-record path.
     """
-    rel_times = _relative_times(base)
-    throughput = _throughput_kbps(base)
-    sizes = base["sizes"]
-    return {
-        "RTT minimum": base["rtt_min"],
-        "RTT average": base["rtt_avg"],
-        "RTT maximum": base["rtt_max"],
-        "BDP": base["bdp"],
-        "BIF avg": base["bif_avg"],
-        "BIF maximum": base["bif_max"],
-        "packet loss": base["loss_pct"],
-        "packet retransmissions": base["retx_pct"],
-        "chunk size": sizes,
-        "chunk avg size": _running_mean(sizes),
-        "chunk Δsize": np.abs(np.diff(sizes, axis=1)),
-        "chunk Δt": np.diff(rel_times, axis=1),
-        "throughput": throughput,
-        "cumsum throughput": np.cumsum(throughput, axis=1),
-    }
+    out: Dict[str, np.ndarray] = {}
+    throughput = None
+    for metric in metrics:
+        field = BASE_METRIC_FIELDS.get(metric)
+        if field is not None:
+            out[metric] = base[field]
+        elif metric == "chunk time":
+            out[metric] = _relative_times(base)
+        elif metric == "chunk avg size":
+            out[metric] = _running_mean(base["sizes"])
+        elif metric == "chunk Δsize":
+            out[metric] = np.abs(np.diff(base["sizes"], axis=1))
+        elif metric == "chunk Δt":
+            out[metric] = np.diff(_relative_times(base), axis=1)
+        elif metric in ("throughput", "cumsum throughput"):
+            if throughput is None:
+                throughput = _throughput_kbps(base)
+            out[metric] = (
+                throughput
+                if metric == "throughput"
+                else np.cumsum(throughput, axis=1)
+            )
+        else:
+            raise KeyError(f"unknown metric {metric!r}")
+    return out

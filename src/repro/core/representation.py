@@ -114,9 +114,23 @@ class AvgRepresentationDetector:
         if self._model is None:
             raise RuntimeError("detector is not fitted; call fit() first")
 
-    def _features_of(self, records: Sequence[SessionRecord]) -> np.ndarray:
-        X, _ = build_representation_matrix(records, n_jobs=self.n_jobs)
-        return X[:, self.selected_indices_]
+    def _features_of(
+        self, records: Sequence[SessionRecord], cache: bool = True
+    ) -> np.ndarray:
+        """The selected feature columns of ``records``, built alone.
+
+        ``cache`` slices a cached full matrix when one exists — offline
+        evaluation re-reads the corpus the detector was fitted on.
+        Inference (``predict``/``predict_proba``, hence serving) skips
+        the cache: its batches never repeat, so hashing them is waste.
+        """
+        X, _ = build_representation_matrix(
+            records,
+            n_jobs=self.n_jobs,
+            cache=cache,
+            columns=self.selected_indices_,
+        )
+        return X
 
     def predict_proba(self, records: Sequence[SessionRecord]) -> np.ndarray:
         """Class-probability estimates per session (forest soft votes).
@@ -125,12 +139,14 @@ class AvgRepresentationDetector:
         confidence-aware alarm policies on top of the hard labels.
         """
         self._check_fitted()
-        return self._model.predict_proba(self._features_of(records))
+        return self._model.predict_proba(
+            self._features_of(records, cache=False)
+        )
 
     def predict(self, records: Sequence[SessionRecord]) -> np.ndarray:
         """Predicted LD/SD/HD class per session."""
         self._check_fitted()
-        return self._model.predict(self._features_of(records))
+        return self._model.predict(self._features_of(records, cache=False))
 
     def evaluate(
         self,

@@ -44,7 +44,7 @@ class StallDetector:
     random_state:
         Seed for balancing and the forest.
     n_jobs:
-        Worker processes for forest fitting/scoring and CV folds
+        Worker processes for forest fitting and CV folds
         (``None``/1 serial, ``-1`` all cores); results are identical
         for any value.
     """
@@ -135,9 +135,23 @@ class StallDetector:
         if self._model is None:
             raise RuntimeError("detector is not fitted; call fit() first")
 
-    def _features_of(self, records: Sequence[SessionRecord]) -> np.ndarray:
-        X, _ = build_stall_matrix(records, n_jobs=self.n_jobs)
-        return X[:, self.selected_indices_]
+    def _features_of(
+        self, records: Sequence[SessionRecord], cache: bool = True
+    ) -> np.ndarray:
+        """The selected feature columns of ``records``, built alone.
+
+        ``cache`` slices a cached full matrix when one exists — offline
+        evaluation re-reads the corpus the detector was fitted on.
+        Inference (``predict``/``predict_proba``, hence serving) skips
+        the cache: its batches never repeat, so hashing them is waste.
+        """
+        X, _ = build_stall_matrix(
+            records,
+            n_jobs=self.n_jobs,
+            cache=cache,
+            columns=self.selected_indices_,
+        )
+        return X
 
     def predict_proba(self, records: Sequence[SessionRecord]) -> np.ndarray:
         """Class-probability estimates per session (forest soft votes).
@@ -146,12 +160,14 @@ class StallDetector:
         confidence-aware alarm policies on top of the hard labels.
         """
         self._check_fitted()
-        return self._model.predict_proba(self._features_of(records))
+        return self._model.predict_proba(
+            self._features_of(records, cache=False)
+        )
 
     def predict(self, records: Sequence[SessionRecord]) -> np.ndarray:
         """Predicted stall class per session."""
         self._check_fitted()
-        return self._model.predict(self._features_of(records))
+        return self._model.predict(self._features_of(records, cache=False))
 
     def evaluate(
         self,

@@ -29,7 +29,7 @@ class ExperimentConfig:
     n_estimators:
         Forest size for the two classifiers.
     n_jobs:
-        Worker processes for forest fitting/scoring, CV folds, and
+        Worker processes for forest fitting, CV folds, and
         feature builds (1 serial, -1 all cores).  Results are identical
         for any value — only wall-clock changes.
     feature_cache_dir:

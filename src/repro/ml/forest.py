@@ -7,25 +7,31 @@ subsets of size sqrt(n_features), and aggregation by averaging the
 trees' leaf class distributions (soft voting), which is also what Weka
 does by default.
 
-Trees are independent once seeded, so both :meth:`fit` and
-:meth:`predict_proba` fan out over an ``n_jobs`` worker pool
-(:mod:`repro.ml.parallel`).  Each tree draws its RNG from its own
-``np.random.SeedSequence.spawn`` child — never from a generator shared
-across trees — and floating-point partials are combined per fixed-size
-tree block in block order, so a fitted forest and its predictions are
-bit-identical for any ``n_jobs`` given the same ``random_state``.
+Trees are independent once seeded, so :meth:`fit` fans out over an
+``n_jobs`` worker pool (:mod:`repro.ml.parallel`).  Each tree draws its
+RNG from its own ``np.random.SeedSequence.spawn`` child — never from a
+generator shared across trees — and floating-point partials are
+combined per fixed-size tree block in block order, so a fitted forest
+is bit-identical for any ``n_jobs`` given the same ``random_state``.
+
+:meth:`predict_proba` runs in-process: all trees are concatenated into
+one node array (built lazily, once per fitted or loaded ensemble) and
+every (row, tree) pair steps through it in a single index walk.  The
+leaf votes are summed in the same order as tree-by-tree scoring —
+sequentially within each block, then blocks in order — so the
+probabilities are the same bits.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.obs import get_registry, trace
 
 from .parallel import block_ranges, run_tasks
-from .tree import DecisionTreeClassifier
+from .tree import _LEAF, DecisionTreeClassifier, leaf_distribution
 
 __all__ = ["RandomForestClassifier"]
 
@@ -38,9 +44,10 @@ _PREDICTIONS = _REG.counter(
     "Rows scored through RandomForestClassifier.predict_proba.",
 )
 
-#: Trees per dispatched pool task.  Fixed (independent of ``n_jobs``)
-#: because float partials are summed per block in block order — the
-#: determinism anchor that makes serial and parallel runs bit-identical.
+#: Trees per dispatched fit task, and per vote-summing block in
+#: ``predict_proba``.  Fixed (independent of ``n_jobs``) because float
+#: partials are summed per block in block order — the determinism
+#: anchor that makes serial and parallel runs bit-identical.
 _TREE_BLOCK = 8
 
 
@@ -94,18 +101,54 @@ def _fit_tree_block(payload):
     return trees, oob_votes
 
 
-def _predict_proba_block(payload):
-    """Summed class votes of one block of trees over ``X``."""
-    trees, X, n_classes = payload
-    proba = np.zeros((X.shape[0], n_classes))
-    for tree in trees:
-        # Trees are fitted on encoded labels spanning all classes seen
-        # by the forest, but a bootstrap sample may miss some classes:
-        # align the tree's columns into the forest's class space.
-        tree_proba = tree.predict_proba(X)
-        cols = tree.classes_.astype(int)
-        proba[:, cols] += tree_proba
-    return proba
+class _FlatWalk(NamedTuple):
+    """Every tree of a fitted forest, concatenated for one index walk.
+
+    Node ``i`` of tree ``t`` is global node ``roots[t] + i``.  Leaves
+    point both children at themselves (split feature 0), so a fixed
+    ``depth`` steps leave every walker on its leaf.  ``proba[node]`` is
+    the node's class distribution placed in the forest's class space.
+    ``estimators`` is the list the walk was built from.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    proba: np.ndarray
+    depth: int
+    estimators: list
+
+
+def _flatten(estimators: list, n_classes: int) -> _FlatWalk:
+    sizes = [tree.node_count for tree in estimators]
+    roots = np.zeros(len(estimators), dtype=np.int64)
+    np.cumsum(sizes[:-1], out=roots[1:])
+    feature, threshold, left, right = [], [], [], []
+    proba = np.zeros((sum(sizes), n_classes))
+    for tree, root, size in zip(estimators, roots, sizes):
+        nodes = np.arange(root, root + size)
+        leaf = tree._feature == _LEAF
+        feature.append(np.where(leaf, 0, tree._feature))
+        threshold.append(tree._threshold)
+        left.append(np.where(leaf, nodes, tree._left + root))
+        right.append(np.where(leaf, nodes, tree._right + root))
+        # A bootstrap sample can miss classes: the tree's columns land
+        # in the forest's class space, the missing ones stay zero.
+        proba[root:root + size, tree.classes_.astype(int)] = (
+            leaf_distribution(tree._value, tree.n_classes_)
+        )
+    return _FlatWalk(
+        feature=np.concatenate(feature),
+        threshold=np.concatenate(threshold),
+        left=np.concatenate(left),
+        right=np.concatenate(right),
+        roots=roots,
+        proba=proba,
+        depth=max(tree.max_depth_ for tree in estimators),
+        estimators=estimators,
+    )
 
 
 class RandomForestClassifier:
@@ -131,9 +174,9 @@ class RandomForestClassifier:
     random_state:
         Seed for reproducible resampling and feature subsampling.
     n_jobs:
-        Worker processes for fitting and prediction.  ``None``/1 runs
-        serially; ``-1`` uses all cores.  Results are bit-identical for
-        any value.
+        Worker processes for fitting.  ``None``/1 runs serially; ``-1``
+        uses all cores.  Results are bit-identical for any value.
+        Prediction always runs in-process as one flat walk.
     """
 
     def __init__(
@@ -241,22 +284,49 @@ class RandomForestClassifier:
                 f"with {self.n_features_}"
             )
         with trace("ml.forest_predict") as span:
-            payloads = [
-                (self.estimators_[a:b], X, self.classes_.size)
-                for a, b in block_ranges(len(self.estimators_), _TREE_BLOCK)
-            ]
-            partials = run_tasks(
-                _predict_proba_block,
-                payloads,
-                n_jobs=self.n_jobs,
-                task="forest_predict",
-            )
-            proba = np.zeros((X.shape[0], self.classes_.size))
-            for partial in partials:
-                proba += partial
-            span.add("rows", X.shape[0])
-        _PREDICTIONS.inc(X.shape[0])
-        return proba / len(self.estimators_)
+            walk = self._walk()
+            n_rows, n_trees = X.shape[0], walk.roots.size
+            # One walker per (row, tree), each stepping through
+            # ``X[row, feature] <= threshold`` exactly as
+            # DecisionTreeClassifier.apply does.
+            flat_x = np.ascontiguousarray(X).ravel()
+            offsets = (np.arange(n_rows) * X.shape[1])[:, None]
+            nodes = np.broadcast_to(walk.roots, (n_rows, n_trees))
+            for _ in range(walk.depth):
+                go_left = (
+                    flat_x[offsets + walk.feature[nodes]]
+                    <= walk.threshold[nodes]
+                )
+                nodes = np.where(go_left, walk.left[nodes], walk.right[nodes])
+            votes = walk.proba[nodes]
+            # Sum trees sequentially within each block, then blocks in
+            # order (cumsum along the tree axis is sequential).
+            proba = np.zeros((n_rows, self.classes_.size))
+            for a, b in block_ranges(n_trees, _TREE_BLOCK):
+                proba += np.cumsum(votes[:, a:b], axis=1)[:, -1]
+            span.add("rows", n_rows)
+        _PREDICTIONS.inc(n_rows)
+        return proba / n_trees
+
+    def _walk(self) -> _FlatWalk:
+        """The flattened trees, derived once per fitted ensemble.
+
+        Published as one immutable tuple, so a thread racing the first
+        call sees either nothing (and builds its own) or a whole walk.
+        """
+        walk = self.__dict__.get("_flat_walk")
+        if walk is None or walk.estimators is not self.estimators_ or (
+            walk.roots.size != len(self.estimators_)
+        ):
+            walk = _flatten(self.estimators_, self.classes_.size)
+            self._flat_walk = walk
+        return walk
+
+    def __getstate__(self) -> dict:
+        # The walk is derived, per process: never pickle it.
+        state = self.__dict__.copy()
+        state.pop("_flat_walk", None)
+        return state
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority (soft) vote of the ensemble."""

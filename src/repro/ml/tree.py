@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["DecisionTreeClassifier"]
+__all__ = ["DecisionTreeClassifier", "leaf_distribution"]
 
 _LEAF = -1
 
@@ -55,6 +55,21 @@ def _impurity(counts: np.ndarray, criterion: str) -> float:
         return float(1.0 - (p * p).sum())
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def leaf_distribution(counts: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class distribution of each row of node class counts.
+
+    A zero-total row answers the uniform distribution over
+    ``n_classes``.  Shared by the tree's ``predict_proba`` and the
+    forest's flattened walk, so both divide identically.
+    """
+    totals = counts.sum(axis=1, keepdims=True)
+    empty = totals == 0.0
+    if np.any(empty):
+        counts = np.where(empty, 1.0, counts)
+        totals = np.where(empty, float(n_classes), totals)
+    return counts / totals
 
 
 class DecisionTreeClassifier:
@@ -350,13 +365,7 @@ class DecisionTreeClassifier:
         that ``predict`` would silently argmax to class 0.
         """
         leaves = self.apply(X)
-        counts = self._value[leaves]
-        totals = counts.sum(axis=1, keepdims=True)
-        empty = totals == 0.0
-        if np.any(empty):
-            counts = np.where(empty, 1.0, counts)
-            totals = np.where(empty, float(self.n_classes_), totals)
-        return counts / totals
+        return leaf_distribution(self._value[leaves], self.n_classes_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predicted class label for each row of ``X``."""

@@ -241,9 +241,11 @@ class EarlyPredictor:
     # -- prediction ----------------------------------------------------
 
     def _vote(self, detector, vector: np.ndarray) -> Tuple[str, float]:
-        """(label, vote agreement) via the same argmax as ``predict``."""
-        x = vector.reshape(1, -1)[:, detector.selected_indices_]
-        proba = detector._model.predict_proba(x)[0]
+        """(label, vote agreement) via the same argmax as ``predict``.
+
+        ``vector`` holds the detector's selected columns only.
+        """
+        proba = detector._model.predict_proba(vector.reshape(1, -1))[0]
         winner = int(np.argmax(proba))
         label = detector._model.classes_[winner]
         if hasattr(label, "item"):
@@ -257,15 +259,19 @@ class EarlyPredictor:
         subscriber_id: str,
     ) -> ProvisionalDiagnosis:
         """Diagnose the session-so-far (no gating, no tracking)."""
+        stall = self.framework.stall
         stall_class, stall_conf = self._vote(
-            self.framework.stall, state.stall_vector()
+            stall, state.stall_vector(stall.selected_indices_)
         )
         representation = self.framework.representation
         rep_class: Optional[str] = None
         rep_conf: Optional[float] = None
         if getattr(representation, "_model", None) is not None:
             rep_class, rep_conf = self._vote(
-                representation, state.representation_vector()
+                representation,
+                state.representation_vector(
+                    representation.selected_indices_
+                ),
             )
         ramp = min(1.0, state.n_chunks / self.age_full_chunks)
         agreement = stall_conf if rep_conf is None else min(stall_conf, rep_conf)

@@ -23,14 +23,19 @@ every ``predict_every`` chunks and the pending block stays that small.
 **Exactness boundary.**  While the session is at or below
 ``exact_cutover`` chunks, no fold has happened yet and a snapshot
 rebuilds a real :class:`~repro.datasets.schema.SessionRecord` from the
-pending chunks, calling the per-record feature oracle
-(:func:`~repro.core.features.stall_features` /
-:func:`~repro.core.features.representation_features`) — so exact-regime
+pending chunks and building its row through the per-record feature
+path (:func:`~repro.core.featurex.engine.record_row`) — so exact-regime
 partial vectors are *bit-identical* to the batch pipeline on the same
 chunk prefix, including the record's sort-by-arrival normalisation.
 Past the cutover, snapshots fold and assemble from the streaming
 accumulators: min/max/mean stay exact, percentile positions become P²
 estimates (see :mod:`repro.online.running`).
+
+**Column subsets.**  Both vectors take the feature columns a fitted
+detector selected and return ``full[columns]``, computing only the
+series and statistics those columns read — in the exact regime and
+when snapshotting the accumulators.  Folding still feeds every series,
+so a later snapshot of any other column stays correct.
 
 The derived-series recurrences mirror the batch definitions exactly:
 
@@ -44,7 +49,7 @@ The derived-series recurrences mirror the batch definitions exactly:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,11 +57,9 @@ from repro.capture.weblog import WeblogEntry
 from repro.core.features import (
     REPRESENTATION_METRICS,
     STALL_METRICS,
-    representation_feature_names,
-    representation_features,
-    stall_feature_names,
-    stall_features,
+    get_model_spec,
 )
+from repro.core.featurex.engine import ColumnPlan, column_plan, record_row
 from repro.datasets.schema import SessionRecord
 from repro.online.running import EXACT_CUTOVER, RunningStats
 from repro.timeseries.stats import (
@@ -83,10 +86,8 @@ _PERCENTILE_POINTS: Tuple[float, ...] = tuple(
     )
 )
 
-_STALL_WIDTH = len(STALL_METRICS) * len(SUMMARY_STATS_BASIC)
-_REPRESENTATION_WIDTH = len(REPRESENTATION_METRICS) * len(
-    SUMMARY_STATS_EXTENDED
-)
+_STALL_SPEC = get_model_spec("stall")
+_REPRESENTATION_SPEC = get_model_spec("representation")
 
 #: Buffered per-chunk fields, in SessionRecord constructor order.
 _CHUNK_FIELDS = (
@@ -318,54 +319,47 @@ class StreamingSessionState:
             },
         )
 
-    def _streamed_vector(self, metrics, stats) -> np.ndarray:
+    def _streamed_vector(self, plan: ColumnPlan) -> np.ndarray:
         self._fold()
-        out = np.empty(len(metrics) * len(stats), dtype=float)
-        i = 0
-        for metric in metrics:
-            snapshot = self._stats[metric].snapshot(stats)
-            for stat in stats:
-                out[i] = snapshot[stat]
-                i += 1
+        out = np.empty(plan.width, dtype=float)
+        for read in plan.reads:
+            snapshot = self._stats[read.metric].snapshot(read.stats)
+            out[list(read.columns)] = [snapshot[s] for s in read.column_stats]
         return out
 
-    def stall_vector(self) -> np.ndarray:
+    def _vector(self, spec, columns: Optional[Sequence[int]]) -> np.ndarray:
+        plan = column_plan(spec, columns)
+        if self.n_chunks == 0:
+            return np.zeros(plan.width, dtype=float)
+        record = self.partial_record()
+        if record is not None:
+            return record_row(record, spec, plan.columns)
+        return self._streamed_vector(plan)
+
+    def stall_vector(
+        self, columns: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
         """The 70-feature §4.1 vector of the session so far.
 
         Ordered exactly as
         :func:`~repro.core.features.stall_feature_names`; bit-identical
         to the batch pipeline on the same prefix while :attr:`exact`.
+        ``columns`` returns only those features (``full[columns]``),
+        computing only the series and statistics they read.
         """
-        if self.n_chunks == 0:
-            return np.zeros(_STALL_WIDTH, dtype=float)
-        record = self.partial_record()
-        if record is not None:
-            features = stall_features(record)
-            return np.array(
-                [features[name] for name in stall_feature_names()],
-                dtype=float,
-            )
-        return self._streamed_vector(STALL_METRICS, SUMMARY_STATS_BASIC)
+        return self._vector(_STALL_SPEC, columns)
 
-    def representation_vector(self) -> np.ndarray:
+    def representation_vector(
+        self, columns: Optional[Sequence[int]] = None
+    ) -> np.ndarray:
         """The 210-feature §4.2 vector of the session so far.
 
         Ordered exactly as :func:`~repro.core.features.
         representation_feature_names`; bit-identical to the batch
-        pipeline on the same prefix while :attr:`exact`.
+        pipeline on the same prefix while :attr:`exact`.  ``columns``
+        as in :meth:`stall_vector`.
         """
-        if self.n_chunks == 0:
-            return np.zeros(_REPRESENTATION_WIDTH, dtype=float)
-        record = self.partial_record()
-        if record is not None:
-            features = representation_features(record)
-            return np.array(
-                [features[name] for name in representation_feature_names()],
-                dtype=float,
-            )
-        return self._streamed_vector(
-            REPRESENTATION_METRICS, SUMMARY_STATS_EXTENDED
-        )
+        return self._vector(_REPRESENTATION_SPEC, columns)
 
 
 def state_from_record_prefix(

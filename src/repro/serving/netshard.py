@@ -144,6 +144,8 @@ _SEND_BATCH = 256
 _POLL_S = 0.02
 #: A connection that never completes its hello is dropped after this.
 _HELLO_TIMEOUT_S = 5.0
+#: A live spawned worker must report its bound port within this.
+_PORT_DEADLINE_S = 30.0
 
 
 class ShardUnreachable(RuntimeError):
@@ -994,14 +996,41 @@ class SocketShardWorker:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(30.0):
+        try:
+            self._worker_port = self._await_port(process, parent_conn)
+        finally:
             parent_conn.close()
-            raise ShardUnreachable(
-                f"shard {self.index} worker process never reported its port"
-            )
-        self._worker_port = parent_conn.recv()
-        parent_conn.close()
         self._process = process
+
+    def _await_port(self, process, conn) -> int:
+        """The spawned worker's bound port; fail fast if it died first.
+
+        Polls in short slices and checks the child's exit code between
+        them, so a worker that dies at bootstrap is reported at once
+        instead of after the whole port deadline.
+        """
+        deadline = time.monotonic() + _PORT_DEADLINE_S
+        while time.monotonic() < deadline:
+            if conn.poll(_POLL_S):
+                try:
+                    return conn.recv()
+                except EOFError:
+                    process.join(_POLL_S)  # closed the pipe: exiting
+                    break
+            if process.exitcode is not None:
+                break
+        if process.exitcode is None:
+            raise ShardUnreachable(
+                f"shard {self.index} worker process never reported its "
+                f"port within {_PORT_DEADLINE_S:.0f}s"
+            )
+        raise ShardUnreachable(
+            f"shard {self.index} worker process exited with code "
+            f"{process.exitcode} before reporting its port; the likely "
+            "cause is a spawning script without an "
+            "`if __name__ == \"__main__\":` guard, whose spawned children "
+            "re-run it and die at bootstrap"
+        )
 
     def _current_address(self) -> Tuple[str, int]:
         if self.mode == "remote":

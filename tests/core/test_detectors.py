@@ -213,3 +213,53 @@ class TestPredictProba:
     def test_representation_proba(self, fitted_representation, adaptive_records):
         proba = fitted_representation.predict_proba(adaptive_records[:10])
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _cache_events(model):
+    """(hits, misses) of the feature-matrix cache for one model."""
+    from repro.obs import get_registry
+
+    totals = {"repro_features_cache_hits_total": 0.0,
+              "repro_features_cache_misses_total": 0.0}
+    for family in get_registry().collect():
+        if family.name in totals:
+            for labels, child in family.samples():
+                if dict(labels).get("model") == model:
+                    totals[family.name] += child.value
+    return tuple(totals.values())
+
+
+class TestSelectedColumnFeatures:
+    """Detectors build only their selected columns (one code path)."""
+
+    @pytest.mark.parametrize("kind", ["stall", "representation"])
+    def test_features_of_matches_full_slice_and_hits_cache(
+        self, kind, stall_records, adaptive_records
+    ):
+        from repro.core.features import (
+            build_representation_matrix,
+            build_stall_matrix,
+        )
+        from repro.core.featurex import get_cache
+
+        get_cache().clear()
+        if kind == "stall":
+            records, build = stall_records, build_stall_matrix
+            detector = StallDetector(n_estimators=5).fit(records)
+        else:
+            records, build = adaptive_records, build_representation_matrix
+            detector = AvgRepresentationDetector(n_estimators=5).fit(records)
+        # fit cached the full matrix; evaluation slices it: one hit.
+        hits, misses = _cache_events(kind)
+        X = detector._features_of(records)
+        assert _cache_events(kind) == (hits + 1, misses)
+        full, _ = build(records, cache=False)
+        assert np.array_equal(X, full[:, detector.selected_indices_])
+        # inference never touches the cache, and scores the same.
+        hits, misses = _cache_events(kind)
+        proba = detector.predict_proba(records)
+        labels = detector.predict(records)
+        assert _cache_events(kind) == (hits, misses)
+        assert np.array_equal(proba, detector._model.predict_proba(X))
+        assert np.array_equal(labels, detector._model.predict(X))
+        get_cache().clear()

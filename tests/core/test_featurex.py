@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.features import (
     REPRESENTATION_METRICS,
@@ -28,10 +30,13 @@ from repro.core.featurex import (
     FeatureMatrixCache,
     RaggedBatch,
     batch_key,
+    build_matrix,
+    column_plan,
     configure_cache,
     get_cache,
     get_default_engine,
     pack_records,
+    record_row,
     set_default_engine,
 )
 from repro.datasets.schema import SessionRecord
@@ -200,6 +205,114 @@ class TestRecordSeriesDriftGuard:
             assert set(fast) == set(REPRESENTATION_METRICS)
             for name, fn in REPRESENTATION_METRICS.items():
                 assert np.array_equal(fast[name], fn(record)), name
+
+
+# ----------------------------------------------------------------------
+# Column projection: build_matrix(..., columns=c) == full[:, c]
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def _projection_case(draw):
+    model = draw(st.sampled_from(["stall", "representation"]))
+    width = len(get_model_spec(model).feature_names)
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(1, 14), st.booleans()), max_size=8
+        )
+    )
+    records = [
+        _with_nonfinite(_make_record(n, seed=i)) if dirty
+        else _make_record(n, seed=i)
+        for i, (n, dirty) in enumerate(shapes)
+    ]
+    # Unsorted, with repeats and negative indices, as numpy allows.
+    columns = draw(st.lists(st.integers(-width, width - 1), max_size=24))
+    return model, records, columns
+
+
+class TestColumnProjection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_projection_case())
+    def test_projection_equals_full_slice(self, case):
+        """Both engines, one-chunk sessions, non-finite rows, empty batch."""
+        model, records, columns = case
+        spec = get_model_spec(model)
+        for engine in ENGINES:
+            full = build_matrix(records, spec, engine=engine, cache=False)
+            sub = build_matrix(
+                records, spec, engine=engine, cache=False, columns=columns
+            )
+            assert sub.shape == (len(records), len(columns))
+            assert np.array_equal(sub, full[:, columns])
+
+    @pytest.mark.parametrize("model", ["stall", "representation"])
+    def test_corpus_projection_both_engines(
+        self, model, stall_records, adaptive_records
+    ):
+        records = stall_records if model == "stall" else adaptive_records
+        spec = get_model_spec(model)
+        width = len(spec.feature_names)
+        rng = np.random.default_rng(5)
+        full = build_matrix(records, spec, cache=False)
+        for _ in range(5):
+            columns = list(rng.permutation(width)[:15])
+            for engine in ENGINES:
+                sub, names = _build(model)(
+                    records, engine=engine, cache=False, columns=columns
+                )
+                assert np.array_equal(sub, full[:, columns])
+                assert names == [spec.feature_names[c] for c in columns]
+
+    def test_record_row_equals_matrix_row(self):
+        records = _mixed_batch()
+        for model in ("stall", "representation"):
+            spec = get_model_spec(model)
+            full = build_matrix(records, spec, cache=False)
+            columns = [9, 3, 3, 0, len(spec.feature_names) - 1]
+            for i, record in enumerate(records):
+                assert np.array_equal(record_row(record, spec), full[i])
+                assert np.array_equal(
+                    record_row(record, spec, columns), full[i, columns]
+                )
+
+    def test_plan_reads_only_selected_metrics_and_stats(self):
+        spec = get_model_spec("representation")
+        n_stats = len(spec.stats)
+        index = spec.metric_names.index("chunk size")
+        columns = [index * n_stats + 9, index * n_stats + 0]  # p50, min
+        plan = column_plan(spec, columns)
+        assert plan.metrics == ("chunk size",)
+        assert plan.reads[0].stats == ("min", "p50")   # canonical order
+        assert plan.reads[0].column_stats == ("p50", "min")
+        assert column_plan(spec).width == len(spec.feature_names)
+
+    def test_out_of_range_column_rejected(self):
+        spec = get_model_spec("stall")
+        with pytest.raises(IndexError):
+            build_matrix([_make_record(3)], spec, cache=False, columns=[70])
+
+    def test_projected_request_slices_warm_cache(self, isolated_cache):
+        """A hit slices the cached full matrix, whatever it holds."""
+        records = [_make_record(4 + s, seed=s) for s in range(4)]
+        spec = get_model_spec("stall")
+        key = batch_key(pack_records(records), spec.name)
+        sentinel = np.arange(4 * 70, dtype=float).reshape(4, 70)
+        isolated_cache.put(key, sentinel)
+        columns = [12, 3, 12, 69]
+        sub, names = build_stall_matrix(records, columns=columns)
+        assert np.array_equal(sub, sentinel[:, columns])
+        assert names == [spec.feature_names[c] for c in columns]
+        assert not np.shares_memory(sub, sentinel)   # a copy
+
+    def test_projected_miss_is_not_cached(self, isolated_cache):
+        records = [_make_record(5, seed=s) for s in range(3)]
+        key = batch_key(pack_records(records), "stall")
+        sub, _ = build_stall_matrix(records, columns=[1, 2])
+        assert isolated_cache.get(key, "stall") is None
+        full, _ = build_stall_matrix(records)
+        assert np.array_equal(sub, full[:, [1, 2]])
+        assert isolated_cache.get(key, "stall") is full
 
 
 # ----------------------------------------------------------------------

@@ -47,6 +47,21 @@ class TestQoEFramework:
             r.session_id for r in adaptive_records[:5]
         ]
 
+    def test_diagnose_skips_feature_cache(
+        self, framework, adaptive_records, monkeypatch
+    ):
+        """Serving batches never repeat: no hashing, no cache traffic."""
+        from repro.core.featurex import engine, get_cache
+
+        get_cache().clear()
+        hashed = []
+        monkeypatch.setattr(
+            engine, "batch_key", lambda *args: hashed.append(args)
+        )
+        framework.diagnose(adaptive_records[:12])
+        assert hashed == []
+        assert len(get_cache()._entries) == 0
+
     def test_fit_derives_adaptive_subset(self, stall_records):
         framework = QoEFramework(random_state=1, n_estimators=5)
         framework.fit(stall_records)    # no explicit adaptive records

@@ -23,6 +23,7 @@ from repro.core.features import (
 )
 from repro.datasets.schema import SessionRecord
 from repro.online import StreamingSessionState, state_from_record_prefix
+from repro.online.running import EXACT_CUTOVER
 
 
 def _prefix_record(record: SessionRecord, k: int) -> SessionRecord:
@@ -130,6 +131,105 @@ class TestStreamingRegime:
             np.zeros(len(representation_feature_names())),
         )
         assert state.partial_record() is None
+
+
+def _synthetic_record(n_chunks: int, seed: int = 0) -> SessionRecord:
+    rng = np.random.default_rng(seed)
+    series = lambda lo, hi: rng.uniform(lo, hi, size=n_chunks)
+    return SessionRecord(
+        session_id=f"long-{seed}",
+        encrypted=True,
+        timestamps=np.cumsum(series(0.5, 6.0)),
+        sizes=series(2e5, 4e6),
+        transactions=series(0.05, 4.0),
+        rtt_min=series(10.0, 40.0),
+        rtt_avg=series(40.0, 90.0),
+        rtt_max=series(90.0, 300.0),
+        bdp=series(1e4, 1e6),
+        bif_avg=series(1e3, 1e5),
+        bif_max=series(1e4, 5e5),
+        loss_pct=series(0.0, 2.0),
+        retx_pct=series(0.0, 3.0),
+    )
+
+
+def _column_draws(width: int, seed: int, n: int = 8):
+    """Unsorted subsets with repeats and negative indices."""
+    rng = np.random.default_rng(seed)
+    return [
+        [int(c) for c in rng.integers(-width, width, size=rng.integers(0, 16))]
+        for _ in range(n)
+    ]
+
+
+class TestColumnSubsets:
+    """``*_vector(columns)`` equals the full vector's slice, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "k, cutover",
+        [
+            (1, EXACT_CUTOVER),
+            (5, EXACT_CUTOVER),
+            (EXACT_CUTOVER, EXACT_CUTOVER),        # last exact snapshot
+            (EXACT_CUTOVER + 30, EXACT_CUTOVER),   # streamed
+            (12, 4),
+            (12, 0),
+        ],
+    )
+    @pytest.mark.parametrize("which", ["stall", "representation"])
+    def test_subset_equals_full_slice(self, k, cutover, which):
+        record = _synthetic_record(k, seed=k)
+        width = len(
+            stall_feature_names() if which == "stall"
+            else representation_feature_names()
+        )
+        for columns in _column_draws(width, seed=k):
+            projected = state_from_record_prefix(record, k, cutover)
+            full = state_from_record_prefix(record, k, cutover)
+            assert projected.exact == (0 < k <= cutover)
+            sub = getattr(projected, f"{which}_vector")(columns)
+            want = getattr(full, f"{which}_vector")()
+            assert np.array_equal(sub, want[columns])
+            # A projected snapshot still folds every series.
+            assert np.array_equal(
+                getattr(projected, f"{which}_vector")(), want
+            )
+
+    def test_incremental_feed_across_cutover(self):
+        """Same snapshot schedule, one side projected, across the cutover."""
+        record = _synthetic_record(EXACT_CUTOVER + 20, seed=3)
+        stall_cols = [60, 59, 45, 7, 19, 17, 66, 44]
+        rep_cols = [121, 129, 136, 130, 131, 163, 122, 152, 123, 156, 83]
+        projected = StreamingSessionState()
+        full = StreamingSessionState()
+        for i in range(record.n_chunks):
+            for state in (projected, full):
+                state.add_chunk(
+                    *(float(getattr(record, f)[i]) for f in (
+                        "timestamps", "sizes", "transactions", "rtt_min",
+                        "rtt_avg", "rtt_max", "bdp", "bif_avg", "bif_max",
+                        "loss_pct", "retx_pct",
+                    ))
+                )
+            if i % 3:
+                continue
+            assert np.array_equal(
+                projected.stall_vector(stall_cols),
+                full.stall_vector()[stall_cols],
+            )
+            assert np.array_equal(
+                projected.representation_vector(rep_cols),
+                full.representation_vector()[rep_cols],
+            )
+        assert not projected.exact
+
+    def test_zero_chunks(self):
+        state = StreamingSessionState()
+        assert np.array_equal(state.stall_vector([3, 3, 0]), np.zeros(3))
+        assert np.array_equal(
+            state.representation_vector([209]), np.zeros(1)
+        )
+        assert state.stall_vector([]).shape == (0,)
 
 
 class TestEntryFeed:

@@ -574,3 +574,63 @@ class TestPlacementValidation:
             serving_framework, n_shards=2, shard_backend="socket"
         )
         assert service.router.placement.describe() == "local:2"
+
+
+class TestBootstrapDeath:
+    """A spawned worker that dies before reporting its port fails fast."""
+
+    def test_unguarded_script_surfaces_failure_within_seconds(
+        self, serving_framework, tmp_path
+    ):
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+        from repro.persistence import save_framework
+
+        model = tmp_path / "model.json"
+        save_framework(serving_framework, model)
+        # No ``if __name__ == "__main__":`` guard: each spawned child
+        # re-runs this script, reaches its own service.start() during
+        # bootstrap, and dies there.
+        script = tmp_path / "unguarded.py"
+        script.write_text(textwrap.dedent(f"""
+            import time
+            from repro.persistence import load_framework
+            from repro.serving import QoEService
+
+            service = QoEService(
+                load_framework({str(model)!r}), n_shards=1,
+                shard_backend="socket", placement="local:1",
+            )
+            started = time.monotonic()
+            service.start()
+            elapsed = time.monotonic() - started
+            shard = service._shards[0]
+            print("RESULT", round(elapsed, 3), shard.state,
+                  type(shard.error).__name__, shard.error, flush=True)
+            service.stop()
+        """))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        lines = [
+            line for line in proc.stdout.splitlines()
+            if line.startswith("RESULT ")
+        ]
+        assert len(lines) == 1, proc.stdout + proc.stderr
+        _, elapsed, state, error_type, message = lines[0].split(" ", 4)
+        assert float(elapsed) < 10.0
+        assert state == "failed"
+        assert error_type == "ShardUnreachable"
+        assert "exited with code" in message
+        assert "__main__" in message
