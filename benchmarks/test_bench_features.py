@@ -42,8 +42,8 @@ def _usable_cpus() -> int:
 def _synthetic_records(n=N_SESSIONS, seed=0):
     """Corpus-shaped records without the simulator (keeps setup cheap).
 
-    Chunk counts span the corpus range (6..124) so the length-grouped
-    engine sees realistically ragged batches, not one dense block.
+    Chunk counts span the corpus range (6..124) so the padded engine
+    sees realistically ragged batches, not rows of one length.
     """
     rng = np.random.default_rng(seed)
     lengths = rng.integers(6, 125, size=n)

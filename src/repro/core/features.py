@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.featurex.engine import ModelSpec, build_matrix as _engine_build
-from repro.core.featurex.series import BASE_METRIC_FIELDS, group_series
+from repro.core.featurex.series import BASE_METRIC_FIELDS, batch_series
 from repro.datasets.schema import SessionRecord
 from repro.timeseries.stats import (
     SUMMARY_STATS_BASIC,
@@ -202,7 +202,7 @@ _SPECS: Dict[str, ModelSpec] = {
         metric_names=tuple(STALL_METRICS),
         feature_names=tuple(stall_feature_names()),
         record_series=_record_series,
-        group_series=group_series,
+        batch_series=batch_series,
     ),
     "representation": ModelSpec(
         name="representation",
@@ -210,7 +210,7 @@ _SPECS: Dict[str, ModelSpec] = {
         metric_names=tuple(REPRESENTATION_METRICS),
         feature_names=tuple(representation_feature_names()),
         record_series=_record_series,
-        group_series=group_series,
+        batch_series=batch_series,
     ),
 }
 

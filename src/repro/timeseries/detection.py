@@ -19,12 +19,14 @@ import numpy as np
 
 from repro.obs import get_registry
 
-from .cusum import cusum_score
+from .cusum import cusum_score, cusum_scores
+from .stats import _as_float_array
 
 __all__ = [
     "delta_series",
     "product_series",
     "switch_score",
+    "switch_scores",
     "DEFAULT_STARTUP_SKIP_S",
 ]
 
@@ -64,8 +66,8 @@ def delta_series(
     consecutive chunks; Δsize is the absolute size difference (a switch
     in either direction perturbs the signal identically).
     """
-    t = np.asarray(list(times), dtype=float)
-    s = np.asarray(list(sizes), dtype=float)
+    t = _as_float_array(times)
+    s = _as_float_array(sizes)
     if t.shape != s.shape:
         raise ValueError("times and sizes must have equal lengths")
     if t.size and np.any(np.diff(t) < 0):
@@ -99,3 +101,58 @@ def switch_score(
         _EMPTY_SERIES.inc()
         return 0.0
     return cusum_score(series)
+
+
+def switch_scores(
+    times: np.ndarray,
+    sizes: np.ndarray,
+    lengths: np.ndarray,
+    startup_skip_s: float = DEFAULT_STARTUP_SKIP_S,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`switch_score` of every row of a padded batch, in one pass.
+
+    ``times`` and ``sizes`` are ``(rows, width)`` blocks whose row
+    ``i`` holds one session's chunks in its first ``lengths[i]`` cells.
+    Returns the scores, bit-identical to ``switch_score`` row by row,
+    and the mask of rows whose product series is empty (scored 0.0).
+
+    With ascending, finite timestamps the startup filter keeps a
+    suffix of each row (``t - t[0]`` is monotone), so every row's
+    product series is a contiguous run of one whole-block
+    ``diff(t) * |diff(s)|``; the runs are shifted to column 0 and
+    scored by :func:`~repro.timeseries.cusum.cusum_scores`.  Rows with
+    unsorted or non-finite timestamps take the per-session path.
+    """
+    n_rows, width = times.shape
+    scores = np.zeros(n_rows, dtype=np.float64)
+    n_products = np.zeros(n_rows, dtype=np.int64)
+    if n_rows and width > 1:
+        valid = np.arange(width) < lengths[:, None]
+        dt = np.diff(times, axis=1)
+        irregular = (valid & ~np.isfinite(times)).any(axis=1) | (
+            (dt < 0) & valid[:, 1:]
+        ).any(axis=1)
+        skipped = (
+            (times - times[:, :1] < startup_skip_s) & valid
+        ).sum(axis=1)
+        n_products = np.maximum(lengths - skipped - 1, 0)
+        n_products[irregular] = 0
+        products = dt * np.abs(np.diff(sizes, axis=1))
+        columns = np.minimum(
+            skipped[:, None] + np.arange(n_products.max()), width - 2
+        )
+        scores = cusum_scores(
+            np.take_along_axis(products, columns, axis=1), n_products
+        )
+        for row in np.flatnonzero(irregular).tolist():
+            series = product_series(
+                times[row, :lengths[row]],
+                sizes[row, :lengths[row]],
+                startup_skip_s=startup_skip_s,
+            )
+            n_products[row] = series.size
+            scores[row] = cusum_score(series) if series.size else 0.0
+    empty = n_products == 0
+    _SCORES.inc(n_rows)
+    _EMPTY_SERIES.inc(int(empty.sum()))
+    return scores, empty

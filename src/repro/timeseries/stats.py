@@ -16,6 +16,7 @@ __all__ = [
     "SUMMARY_STATS_BASIC",
     "SUMMARY_STATS_EXTENDED",
     "summary_statistics",
+    "pooled_moments",
     "Ecdf",
     "ecdf",
 ]
@@ -112,6 +113,60 @@ def summary_statistics(
         stat: float(fused[stat]) if stat in fused else _single_stat(arr, stat)
         for stat in stats
     }
+
+
+def pooled_moments(
+    block: np.ndarray,
+    lengths: np.ndarray,
+    stats: Sequence[str] = ("mean", "std"),
+) -> Dict[str, np.ndarray]:
+    """Row means and/or standard deviations of a left-aligned padded block.
+
+    Row ``i`` of ``block`` holds a series in its first ``lengths[i]``
+    cells; the rest is padding and is never read.  Returns one
+    ``(rows,)`` array per requested statistic (``"mean"``, ``"std"``),
+    equal bit for bit to ``np.mean`` / ``np.std`` of each row's valid
+    cells; a row of length 0 maps to 0.0.
+
+    Rows are pooled by length: each distinct length is one C-contiguous
+    ``(k, n)`` block, and ``axis=1`` reductions over contiguous rows run
+    NumPy's 1-D kernel, pairwise summation order included, once per
+    row.  The mean is ``sum / n`` and the standard deviation
+    ``sqrt(sum((x - mean)**2) / n)``, the exact operation sequence of
+    NumPy's ``_mean`` and ``_var``; the deviation reuses the mean.
+    Non-finite rows get NumPy's values without its warnings.
+    """
+    unknown = set(stats) - {"mean", "std"}
+    if unknown:
+        raise ValueError(f"not a moment: {sorted(unknown)!r}")
+    sums = np.zeros(lengths.size, dtype=np.float64)
+    squares = np.zeros(lengths.size, dtype=np.float64)
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start, stop in zip(starts, starts[1:] + [None]):
+            n = int(ordered[start])
+            if n == 0:
+                continue
+            rows = order[start:stop]
+            # Fancy indexing copies, so the rows are C-contiguous.
+            part = block[rows, :n]
+            total = np.add.reduce(part, axis=1)
+            sums[rows] = total
+            if "std" in stats:
+                deviation = part - (total / n)[:, None]
+                np.multiply(deviation, deviation, out=deviation)
+                squares[rows] = np.add.reduce(deviation, axis=1)
+        # Dividing by a length array divides each row by its own n,
+        # the same IEEE operation as the per-length scalar division.
+        counts = np.maximum(lengths, 1)
+        out = {}
+        if "mean" in stats:
+            out["mean"] = sums / counts
+        if "std" in stats:
+            out["std"] = np.sqrt(squares / counts)
+    return out
 
 
 @dataclass

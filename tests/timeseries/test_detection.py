@@ -8,7 +8,9 @@ from repro.timeseries.detection import (
     delta_series,
     product_series,
     switch_score,
+    switch_scores,
 )
+from repro.obs import get_registry
 
 
 class TestDeltaSeries:
@@ -44,6 +46,23 @@ class TestDeltaSeries:
         dt, dsize = delta_series([0.0], [1.0], startup_skip_s=0.0)
         assert dt.size == 0
 
+    def test_ndarray_and_list_inputs_agree(self):
+        rng = np.random.default_rng(2)
+        times = np.cumsum(rng.uniform(1.0, 5.0, 40))
+        sizes = rng.uniform(1e5, 1e6, 40)
+        from_arrays = delta_series(times, sizes)
+        from_lists = delta_series(times.tolist(), sizes.tolist())
+        from_iterators = delta_series(iter(times), iter(sizes))
+        for got in (from_lists, from_iterators):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(from_arrays, got))
+
+    def test_ndarray_inputs_are_not_modified(self):
+        times = np.array([5.0, 0.0, 20.0, 30.0])
+        sizes = np.array([2.0, 1.0, 3.0, 9.0])
+        delta_series(times, sizes)
+        assert times.tolist() == [5.0, 0.0, 20.0, 30.0]
+        assert sizes.tolist() == [2.0, 1.0, 3.0, 9.0]
+
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             delta_series([1.0, 2.0], [1.0])
@@ -76,3 +95,60 @@ class TestSwitchScore:
 
     def test_empty_session_scores_zero(self):
         assert switch_score([], []) == 0.0
+
+
+def _padded(rows):
+    lengths = np.array([len(t) for t, _ in rows], dtype=np.int64)
+    width = max(int(lengths.max()), 1)
+    times = np.zeros((len(rows), width))
+    sizes = np.zeros((len(rows), width))
+    for i, (t, s) in enumerate(rows):
+        times[i, :len(t)] = t
+        sizes[i, :len(s)] = s
+    return times, sizes, lengths
+
+
+class TestSwitchScores:
+    """The padded batch twin equals switch_score row by row."""
+
+    def _rows(self):
+        rng = np.random.default_rng(9)
+        rows = []
+        for n in (1, 2, 3, 5, 40, 120):
+            t = np.cumsum(rng.uniform(1.0, 8.0, n))
+            rows.append((t, rng.uniform(1e2, 2e3, n)))
+        rows.append(([0.0, 4.0, 9.0], [1.0, 2.0, 3.0]))            # all skipped
+        rows.append(([0.0, 10.0, 12.0], [5.0, 7.0, 1.0]))          # two kept
+        rows.append(([0.0, 11.0, 11.0, 11.0, 15.0], [1.0, 4.0, 2.0, 2.0, 9.0]))
+        rows.append(([0.0, 30.0, 12.0, 40.0], [1.0, 2.0, 3.0, 4.0]))  # unsorted
+        rows.append(([0.0, np.nan, 20.0, 30.0], [1.0, 2.0, 3.0, 4.0]))
+        rows.append(([0.0, 20.0, 30.0, 45.0], [1.0, np.inf, 3.0, 4.0]))
+        return rows
+
+    @pytest.mark.parametrize("skip", [DEFAULT_STARTUP_SKIP_S, 0.0, 25.0])
+    def test_equal_to_switch_score(self, skip):
+        rows = self._rows()
+        scores, empty = switch_scores(*_padded(rows), startup_skip_s=skip)
+        for i, (t, s) in enumerate(rows):
+            want = switch_score(t, s, startup_skip_s=skip)
+            assert scores[i].tobytes() == np.float64(want).tobytes(), i
+            series = product_series(t, s, startup_skip_s=skip)
+            assert empty[i] == (series.size == 0), i
+
+    def test_empty_batch(self):
+        scores, empty = switch_scores(
+            np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
+        )
+        assert scores.dtype == np.float64 and scores.shape == (0,)
+        assert empty.shape == (0,)
+
+    def test_counts_rows_and_empty_series(self):
+        registry = get_registry()
+        scored = registry.get("repro_timeseries_switch_scores_total")
+        empties = registry.get("repro_timeseries_empty_series_total")
+        before = scored.value, empties.value
+        rows = self._rows()
+        _, empty = switch_scores(*_padded(rows))
+        assert scored.value == before[0] + len(rows)
+        assert empties.value == before[1] + int(empty.sum())
+        assert empty.sum() >= 3

@@ -7,6 +7,7 @@ from repro.timeseries.stats import (
     SUMMARY_STATS_BASIC,
     SUMMARY_STATS_EXTENDED,
     ecdf,
+    pooled_moments,
     summary_statistics,
 )
 
@@ -92,3 +93,53 @@ class TestEcdf:
     def test_nan_dropped(self):
         e = ecdf([1.0, np.nan, 2.0])
         assert e.x.size == 2
+
+
+class TestPooledMoments:
+    """Length-pooled row moments equal np.mean / np.std byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "constant", "huge"])
+    def test_byte_equal_to_numpy(self, kind):
+        rng = np.random.default_rng(["normal", "ties", "constant",
+                                     "huge"].index(kind))
+        block = rng.normal(size=(80, 300))
+        if kind == "ties":
+            block = rng.integers(0, 3, size=block.shape).astype(float)
+        elif kind == "constant":
+            block[:] = block[:, :1]
+        elif kind == "huge":
+            block *= 1e6
+        lengths = np.concatenate(
+            [[0, 1, 2, 300], rng.integers(1, 301, size=76)]
+        )
+        moments = pooled_moments(block, lengths)
+        for i, n in enumerate(lengths):
+            if n == 0:
+                assert moments["mean"][i] == 0.0 and moments["std"][i] == 0.0
+                continue
+            row = block[i, :n]
+            assert moments["mean"][i].tobytes() == np.mean(row).tobytes()
+            assert moments["std"][i].tobytes() == np.std(row).tobytes()
+
+    def test_every_length_from_one_to_three_hundred(self):
+        rng = np.random.default_rng(5)
+        block = rng.exponential(size=(300, 300)) * 1e3
+        lengths = np.arange(1, 301)
+        moments = pooled_moments(block, lengths)
+        for i, n in enumerate(lengths):
+            assert moments["mean"][i].tobytes() == np.mean(block[i, :n]).tobytes()
+            assert moments["std"][i].tobytes() == np.std(block[i, :n]).tobytes()
+
+    def test_padding_is_never_read(self):
+        block = np.array([[1.0, 2.0, np.nan], [4.0, np.inf, np.nan]])
+        moments = pooled_moments(block, np.array([2, 1]), ("mean",))
+        assert list(moments) == ["mean"]
+        assert moments["mean"].tolist() == [1.5, 4.0]
+
+    def test_empty_block(self):
+        moments = pooled_moments(np.zeros((0, 0)), np.zeros(0, dtype=np.int64))
+        assert moments["mean"].shape == moments["std"].shape == (0,)
+
+    def test_unknown_statistic_rejected(self):
+        with pytest.raises(ValueError):
+            pooled_moments(np.zeros((1, 1)), np.array([1]), ("p50",))
