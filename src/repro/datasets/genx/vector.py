@@ -4,12 +4,18 @@ Simulates all of a corpus's sessions together instead of one at a time,
 batching the numeric heavy lifting through numpy while reproducing the
 per-session engine's output *bit for bit*:
 
-* **Path fading** — every session's AR(1) log-space recurrence runs
-  through :func:`scipy.signal.lfilter` (the same multiply-add per
-  element, in C); the per-step draws come from each session's own
-  ``path`` stream in exactly :class:`~repro.network.path.NetworkPath`'s
-  order, and the finalisation (exp, fades, outages, clamps) applies the
-  same elementwise expressions to all lanes' traces concatenated flat.
+* **Path fading** — lane lengths depend only on the plan, so the three
+  flat output traces (bandwidth, RTT, loss; one segment per lane) are
+  allocated once, and two passes over blocks of ``_PATH_BLOCK`` lanes
+  fill them in place.  The first pass visits lanes of similar length
+  together: each draws from its own ``path`` stream in exactly
+  :class:`~repro.network.path.NetworkPath`'s order, and the block's
+  AR(1) log-space recurrences advance time-major, bandwidth and RTT
+  stacked, with the same multiply and add per element as
+  ``NetworkPath``'s loop.  The second pass applies the same elementwise
+  finalisation (exp, fades, outages, clamps) to each stretch of
+  consecutive lanes.  Working memory beside the outputs is a few
+  block-sized arrays, whatever the corpus size.
 * **TCP rounds** — the dominant cost of the per-session engine is the
   round-by-round Python loop in
   :meth:`~repro.network.tcp.TcpConnection.download`.  Here every active
@@ -37,7 +43,11 @@ session submits its next download (video or audio, whatever its state
 machine wants next), the downloads execute in round-lockstep batches
 per connection kind, and completions feed back into the scalar
 bookkeeping.  Sessions never interact, so lane order is irrelevant to
-the result.
+the result.  Once fewer than ``_SCALAR_TAIL`` lanes remain, each drains
+to the end of its session through a scalar copy of the round loop that
+reads Python lists (its path segment, converted once per lane, and its
+draw blocks) and settles the common zero-loss round with one
+comparison before any CDF walk.
 """
 
 from __future__ import annotations
@@ -47,7 +57,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.network.tcp import (
     DRAW_BLOCK,
@@ -61,6 +70,7 @@ from repro.network.tcp import (
     TransferResult,
     binomial_from_uniform,
 )
+from repro.obs import trace
 from repro.streaming.abr import HybridAbr, ThroughputEstimator
 from repro.streaming.adaptive import AdaptivePlayerConfig
 from repro.streaming.buffer import PlayoutBuffer
@@ -88,6 +98,10 @@ _POW_MARGIN = 1e-12
 #: form — array-op overhead per round exceeds the scalar cost.
 _SCALAR_TAIL = 96
 
+#: Lanes per block of the path build; its working memory beside the
+#: three flat output traces is a few block-sized arrays.
+_PATH_BLOCK = 128
+
 #: install()'s one-write accumulator reset: rtt_min, rtt_max, rtt_sum,
 #: bif_sum, bif_max, bdp_sum, sent, lost, n_rounds (counts live as
 #: floats — every value stays far below 2**53, so they are exact).
@@ -110,82 +124,142 @@ class _PathData:
 
     __slots__ = ("bw", "rtt", "loss", "off", "length", "bw0", "base_states")
 
-    def __init__(self, n: int) -> None:
-        self.off = np.empty(n, dtype=np.int64)
-        self.length = np.empty(n, dtype=np.int64)
-        self.bw0 = np.empty(n, dtype=np.float64)
-        self.base_states: list = []
+    def __init__(self, lengths: np.ndarray) -> None:
+        n = lengths.size
+        self.length = lengths
+        self.off = np.cumsum(lengths) - lengths
+        total = int(lengths.sum())
+        self.bw = np.empty(total)
+        self.rtt = np.empty(total)
+        self.loss = np.empty(total)
+        self.bw0 = np.empty(n)
+        self.base_states: list = [None] * n
 
 
 def _build_paths(plan: CorpusPlan, streams: List[SessionStreams]) -> _PathData:
-    """All lanes' link-state traces, bit-identical to NetworkPath's."""
-    n = plan.n_sessions
-    data = _PathData(n)
-    lens = np.empty(n, dtype=np.int64)
-    rho = np.empty(n)
-    sig_bw = np.empty(n)
-    sig_rtt = np.empty(n)
-    eps_bw: List[np.ndarray] = []
-    eps_rtt: List[np.ndarray] = []
-    burst: List[np.ndarray] = []
-    burst_mag: List[np.ndarray] = []
+    """All lanes' link-state traces, bit-identical to NetworkPath's.
 
-    for i in range(n):
+    Lane lengths depend only on the plan, so the three flat output
+    traces are allocated once up front; two passes over blocks of at
+    most ``_PATH_BLOCK`` lanes then fill them in place.  No other
+    per-step array spans more than one block.
+    """
+    lengths = np.array(
+        [
+            # NetworkPath's step count for a (video * 4 + 180) s path
+            # at its 1 s step.
+            max(2, math.ceil(video.duration_s * 4.0 + 180.0) + 1)
+            for video in plan.videos
+        ],
+        dtype=np.int64,
+    )
+    data = _PathData(lengths)
+    n = lengths.size
+    # Fading blocks group lanes of similar length, so the time-major
+    # recurrence pads little; lanes draw from their own streams, so the
+    # visiting order does not change any value.
+    order = np.argsort(lengths, kind="stable").tolist()
+    for lo in range(0, n, _PATH_BLOCK):
+        _fade_block(plan, streams, data, order[lo : lo + _PATH_BLOCK])
+    # Finalisation blocks are consecutive lanes: one contiguous stretch
+    # of the outputs each.
+    for lo in range(0, n, _PATH_BLOCK):
+        _finalise_block(plan, data, lo, min(n, lo + _PATH_BLOCK))
+    data.bw0[:] = data.bw[data.off]
+    return data
+
+
+def _fade_block(
+    plan: CorpusPlan,
+    streams: List[SessionStreams],
+    data: _PathData,
+    block: List[int],
+) -> None:
+    """Draw a block's lanes and write their log-space fading.
+
+    Each lane draws in NetworkPath's order (base state, bandwidth and
+    RTT normals, burst rolls, burst magnitudes).  The burst term lands
+    in the lane's ``loss`` segment and the AR(1) log traces in its
+    ``bw``/``rtt`` segments, for :func:`_finalise_block` to finish.
+    """
+    lengths = data.length
+    width = len(block)
+    steps = int(lengths[block[-1]])  # ascending order: the last is longest
+    # Time-major: row t holds step t of every lane, bandwidth in even
+    # columns and RTT in odd ones; x[t] starts as sigma * eps[t] and
+    # rows past a lane's length stay zero.
+    x = np.zeros((steps, 2 * width))
+    rho = np.empty(2 * width)
+    for j, i in enumerate(block):
         profile = plan.profiles[i]
         rng = streams[i].path
-        base = profile.sample(rng)
-        data.base_states.append(base)
-        duration_s = plan.videos[i].duration_s * 4.0 + 180.0
-        k = max(2, int(np.ceil(duration_s / 1.0)) + 1)
-        lens[i] = k
+        data.base_states[i] = profile.sample(rng)
+        k = int(lengths[i])
         r = float(np.clip(1.0 - profile.volatility, 0.5, 0.995))
-        rho[i] = r
-        sig_bw[i] = 0.5 * profile.bandwidth_sigma * np.sqrt(1.0 - r**2)
-        sig_rtt[i] = 0.5 * profile.rtt_sigma * np.sqrt(1.0 - r**2)
-        eps_bw.append(rng.normal(0.0, 1.0, size=k))
-        eps_rtt.append(rng.normal(0.0, 1.0, size=k))
-        burst.append(rng.random(k))
-        burst_mag.append(rng.uniform(0.01, 0.08, size=k))
+        sig_bw = 0.5 * profile.bandwidth_sigma * np.sqrt(1.0 - r**2)
+        sig_rtt = 0.5 * profile.rtt_sigma * np.sqrt(1.0 - r**2)
+        rho[2 * j : 2 * j + 2] = r
+        eps_bw = rng.normal(0.0, 1.0, size=k)
+        eps_rtt = rng.normal(0.0, 1.0, size=k)
+        burst = rng.random(k)
+        burst_mag = rng.uniform(0.01, 0.08, size=k)
+        np.multiply(sig_bw, eps_bw[1:], out=x[1:k, 2 * j])
+        np.multiply(sig_rtt, eps_rtt[1:], out=x[1:k, 2 * j + 1])
+        start = int(data.off[i])
+        np.multiply(burst < 0.012, burst_mag, out=data.loss[start : start + k])
 
-    # AR(1) recurrences through scipy's C filter: y[t] = x[t] + r*y[t-1]
-    # with x = sigma*eps and x[0] forced to 0 performs the same multiply
-    # and (commutative) add per element as NetworkPath's loop, so the
-    # outputs are bit-identical.
-    log_bw: List[Optional[np.ndarray]] = [None] * n
-    log_rtt: List[Optional[np.ndarray]] = [None] * n
-    b = [1.0]
-    for i in range(n):
-        a = [1.0, -rho[i]]
-        x = sig_bw[i] * eps_bw[i]
-        x[0] = 0.0
-        log_bw[i] = lfilter(b, a, x)
-        x = sig_rtt[i] * eps_rtt[i]
-        x[0] = 0.0
-        log_rtt[i] = lfilter(b, a, x)
+    # y[t] = rho * y[t-1] + x[t] with y[0] = 0: the same multiply, then
+    # the same (commutative) add, per element as NetworkPath's loop.
+    term = np.empty(2 * width)
+    prev = x[0]
+    for t in range(1, steps):
+        row = x[t]
+        np.multiply(rho, prev, out=term)
+        np.add(term, row, out=row)
+        prev = row
 
-    # Flat finalisation: identical elementwise expressions to
-    # NetworkPath, applied to every lane's trace at once with the base
-    # state broadcast along each lane's segment.
-    data.length[:] = lens
-    np.cumsum(lens, out=data.off)
-    data.off -= lens
+    for j, i in enumerate(block):
+        k = int(lengths[i])
+        start = int(data.off[i])
+        data.bw[start : start + k] = x[:k, 2 * j]
+        data.rtt[start : start + k] = x[:k, 2 * j + 1]
 
-    base_bw = np.array([b.bandwidth_kbps for b in data.base_states])
-    base_rtt = np.array([b.rtt_ms for b in data.base_states])
-    base_loss = np.array([b.loss_rate for b in data.base_states])
-    rep_bw = np.repeat(base_bw, lens)
-    bw = rep_bw * np.exp(np.concatenate(log_bw))
-    rtt = np.repeat(base_rtt, lens) * np.exp(np.concatenate(log_rtt))
-    fade = np.clip(1.0 - bw / rep_bw, 0.0, 1.0)
-    loss = np.repeat(base_loss, lens) * (1.0 + 4.0 * fade)
-    loss = loss + (np.concatenate(burst) < 0.012) * np.concatenate(burst_mag)
 
-    for i in range(n):
+def _finalise_block(plan: CorpusPlan, data: _PathData, lo: int, hi: int) -> None:
+    """Turn lanes ``lo:hi``'s log traces into link states, in place.
+
+    The elementwise expressions (exp, fade, loss, outages, clamps) are
+    NetworkPath's, applied to the block's contiguous output stretch
+    with each lane's base state broadcast along its segment.
+    """
+    lengths = data.length[lo:hi]
+    start = int(data.off[lo])
+    stop = int(data.off[hi - 1] + data.length[hi - 1])
+    bw = data.bw[start:stop]
+    rtt = data.rtt[start:stop]
+    loss = data.loss[start:stop]
+    states = data.base_states[lo:hi]
+
+    np.exp(rtt, out=rtt)
+    np.multiply(np.repeat([s.rtt_ms for s in states], lengths), rtt, out=rtt)
+    base_bw = np.repeat([s.bandwidth_kbps for s in states], lengths)
+    np.exp(bw, out=bw)
+    np.multiply(base_bw, bw, out=bw)
+    fade = np.divide(bw, base_bw, out=base_bw)
+    np.subtract(1.0, fade, out=fade)
+    np.clip(fade, 0.0, 1.0, out=fade)
+    np.multiply(4.0, fade, out=fade)
+    np.add(1.0, fade, out=fade)
+    np.multiply(np.repeat([s.loss_rate for s in states], lengths), fade, out=fade)
+    np.add(fade, loss, out=loss)
+    del fade, base_bw
+
+    for i in range(lo, hi):
         outages = plan.outages[i]
         if not outages:
             continue
-        k = int(lens[i])
-        seg = slice(int(data.off[i]), int(data.off[i]) + k)
+        k = int(data.length[i])
+        seg = slice(int(data.off[i]) - start, int(data.off[i]) - start + k)
         times = np.arange(k) * 1.0
         bw_i, rtt_i, loss_i = bw[seg], rtt[seg], loss[seg]
         for outage in outages:
@@ -194,11 +268,9 @@ def _build_paths(plan: CorpusPlan, streams: List[SessionStreams]) -> _PathData:
             rtt_i[mask] *= 1.0 + (1.0 - outage.factor)
             loss_i[mask] = np.minimum(0.5, loss_i[mask] * 3.0 + 0.01)
 
-    data.bw = np.maximum(16.0, bw)
-    data.rtt = np.maximum(5.0, rtt)
-    data.loss = np.clip(loss, 0.0, 0.5)
-    data.bw0[:] = data.bw[data.off]
-    return data
+    np.maximum(16.0, bw, out=bw)
+    np.maximum(5.0, rtt, out=rtt)
+    np.clip(loss, 0.0, 0.5, out=loss)
 
 
 # ----------------------------------------------------------------------
@@ -274,15 +346,6 @@ class _DownloadPool:
         "lossb",
         "cursor",
         "acc",
-        "sent",
-        "lost",
-        "n_rounds",
-        "rtt_min",
-        "rtt_max",
-        "rtt_sum",
-        "bif_sum",
-        "bif_max",
-        "bdp_sum",
     )
 
     def __init__(
@@ -310,17 +373,9 @@ class _DownloadPool:
         self.cursor = np.zeros(n, dtype=np.int64)
         # All per-download accumulators are rows of one matrix: install()
         # resets with one column write, round() updates with one
-        # gather/scatter pair, finish() extracts with one tolist().
+        # gather/scatter pair, finish() and finish_scalar() extract with
+        # one tolist().
         self.acc = np.zeros((9, n))
-        self.rtt_min = self.acc[0]
-        self.rtt_max = self.acc[1]
-        self.rtt_sum = self.acc[2]
-        self.bif_sum = self.acc[3]
-        self.bif_max = self.acc[4]
-        self.bdp_sum = self.acc[5]
-        self.sent = self.acc[6]
-        self.lost = self.acc[7]
-        self.n_rounds = self.acc[8]
 
     def install(self, lane: int, kind: str, size: int, start: float) -> None:
         """Begin a new download on the lane's video or audio connection.
@@ -483,96 +538,150 @@ class _DownloadPool:
         self.now[act] = nw + round_s
         return rem_new <= 0.0
 
-    def finish_scalar(self, lane: int) -> None:
-        """Run the lane's current download to completion in scalar form.
+    def drain(self, lane: int, player) -> int:
+        """Run the lane's remaining downloads scalar until its session ends.
 
-        Same per-round operations as :meth:`round` on python floats —
-        cheaper once the active set is too narrow to amortise array
-        overhead (the long tail of the longest sessions).
+        The lane's path segment becomes Python lists once, for all of
+        its downloads, and is dropped on return, so at most one lane's
+        lists are alive at a time.  Returns the TCP rounds run.
         """
         paths = self.paths
-        off = int(paths.off[lane])
-        limit = int(paths.length[lane]) - 1
-        bw_t = paths.bw
-        rtt_t = paths.rtt
-        loss_t = paths.loss
+        start = int(paths.off[lane])
+        stop = start + int(paths.length[lane])
+        segment = (
+            paths.bw[start:stop].tolist(),
+            paths.rtt[start:stop].tolist(),
+            paths.loss[start:stop].tolist(),
+        )
+        rounds = 0
+        while True:
+            rounds += self.finish_scalar(lane, segment)
+            if player.on_complete(self.finish(lane)):
+                return rounds
+            kind, size, begin = player.next_request()
+            self.install(lane, kind, size, begin)
+
+    def finish_scalar(
+        self, lane: int, segment: Tuple[List[float], List[float], List[float]]
+    ) -> int:
+        """Run the lane's current download to completion in scalar form.
+
+        Same per-round operations as TcpConnection.download on Python
+        floats: the path ``segment`` (the lane's bw/rtt/loss traces) and
+        the draw blocks are read as lists, a loss count of zero is
+        decided by ``binomial_from_uniform``'s own first test, and
+        comparisons stand in for ``min``/``max`` with their tie
+        semantics (on a tie, the first argument wins).  Cheaper once the
+        active set is too narrow to amortise array overhead (the long
+        tail of the longest sessions).  Returns the rounds run.
+        """
+        bw_t, rtt_t, loss_t = segment
+        limit = len(bw_t) - 1
         rng = self.rngs[lane]
         base = lane * DRAW_BLOCK
         stop = base + DRAW_BLOCK
-        z_blk = self.z[base:stop]
-        sp_blk = self.spike[base:stop]
-        mu_blk = self.mult[base:stop]
-        lo_blk = self.lossb[base:stop]
+        z_blk = self.z[base:stop].tolist()
+        sp_blk = self.spike[base:stop].tolist()
+        mu_blk = self.mult[base:stop].tolist()
+        lo_blk = self.lossb[base:stop].tolist()
         cursor = int(self.cursor[lane])
         now = float(self.now[lane])
         remaining = int(self.remaining[lane])
         cwnd = float(self.cwnd[lane])
         ssthresh = float(self.ssthresh[lane])
         bloat = float(self.bloat[lane])
-        sent = int(self.sent[lane])
-        lost = int(self.lost[lane])
-        n_rounds = int(self.n_rounds[lane])
-        rtt_min = float(self.rtt_min[lane])
-        rtt_max = float(self.rtt_max[lane])
-        rtt_sum = float(self.rtt_sum[lane])
-        bif_sum = float(self.bif_sum[lane])
-        bif_max = float(self.bif_max[lane])
-        bdp_sum = float(self.bdp_sum[lane])
+        (
+            rtt_min,
+            rtt_max,
+            rtt_sum,
+            bif_sum,
+            bif_max,
+            bdp_sum,
+            sent,
+            lost,
+            n_rounds,
+        ) = self.acc[:, lane].tolist()
+        sent = int(sent)
+        lost = int(lost)
+        first_round = n_rounds = int(n_rounds)
 
         while remaining > 0:
             if cursor >= DRAW_BLOCK:
-                z_blk = rng.standard_normal(DRAW_BLOCK)
-                sp_blk = rng.random(DRAW_BLOCK)
-                mu_blk = rng.random(DRAW_BLOCK)
-                lo_blk = rng.random(DRAW_BLOCK)
+                z_blk = rng.standard_normal(DRAW_BLOCK).tolist()
+                sp_blk = rng.random(DRAW_BLOCK).tolist()
+                mu_blk = rng.random(DRAW_BLOCK).tolist()
+                lo_blk = rng.random(DRAW_BLOCK).tolist()
                 cursor = 0
-            z = float(z_blk[cursor])
-            u_spike = float(sp_blk[cursor])
-            u_mult = float(mu_blk[cursor])
-            u_loss = float(lo_blk[cursor])
+            z = z_blk[cursor]
+            u_spike = sp_blk[cursor]
+            u_mult = mu_blk[cursor]
+            u_loss = lo_blk[cursor]
             cursor += 1
 
+            # now >= the request time > 0: only the upper clamp engages.
             i = int(now)
-            if i < 0:
-                i = 0
-            elif i > limit:
+            if i > limit:
                 i = limit
-            s_bw = float(bw_t[off + i])
-            s_rtt = float(rtt_t[off + i])
-            s_loss = float(loss_t[off + i])
+            s_bw = bw_t[i]
+            s_rtt = rtt_t[i]
+            s_loss = loss_t[i]
 
-            in_flight = max(1, int(min(cwnd, remaining)))
+            # max(1, int(min(cwnd, remaining)))
+            in_flight = remaining if remaining < cwnd else int(cwnd)
+            if in_flight < 1:
+                in_flight = 1
             bif = in_flight * MSS_BYTES
             capacity_bps = s_bw * 1000.0 / 8.0
             bdp = s_bw * 1000.0 / 8.0 * (s_rtt / 1000.0)
-            overshoot = max(0.0, bif / max(bdp, 1.0) - 1.0)
-            jitter = RTT_JITTER_SIGMA * z
-            rtt_ms = s_rtt * max(0.5, (1.0 + bloat * min(overshoot, 3.0)) + jitter)
+            # max(0.0, bif / max(bdp, 1.0) - 1.0)
+            overshoot = bif / (1.0 if 1.0 > bdp else bdp) - 1.0
+            if not overshoot > 0.0:
+                overshoot = 0.0
+            # s_rtt * max(0.5, (1.0 + bloat * min(overshoot, 3.0)) + jitter)
+            factor = (
+                1.0 + bloat * (3.0 if 3.0 < overshoot else overshoot)
+            ) + RTT_JITTER_SIGMA * z
+            rtt_ms = s_rtt * (factor if factor > 0.5 else 0.5)
             if u_spike < SPIKE_PROB:
                 rtt_ms *= SPIKE_MIN + SPIKE_SPAN * u_mult
             rtt_s = rtt_ms / 1000.0
-            round_s = max(rtt_s, bif / capacity_bps)
+            # max(rtt_s, bif / capacity_bps)
+            round_s = bif / capacity_bps
+            if not round_s > rtt_s:
+                round_s = rtt_s
 
-            losses = binomial_from_uniform(u_loss, in_flight, s_loss)
+            if u_loss <= (1.0 - s_loss) ** in_flight:
+                losses = 0
+            else:
+                losses = binomial_from_uniform(u_loss, in_flight, s_loss)
             sent += in_flight
             lost += losses
             remaining -= in_flight - losses
             if losses > 0:
-                ssthresh = max(2.0, cwnd / 2.0)
+                # max(2.0, cwnd / 2.0)
+                ssthresh = cwnd / 2.0
+                if not ssthresh > 2.0:
+                    ssthresh = 2.0
                 cwnd = ssthresh
                 round_s += rtt_s
             elif cwnd < ssthresh:
-                cwnd = min(cwnd * 2.0, ssthresh)
+                # min(cwnd * 2.0, ssthresh)
+                cwnd = cwnd * 2.0
+                if ssthresh < cwnd:
+                    cwnd = ssthresh
             else:
                 cwnd += 1.0
 
             n_rounds += 1
-            rtt_min = min(rtt_min, rtt_ms)
-            rtt_max = max(rtt_max, rtt_ms)
+            if rtt_ms < rtt_min:
+                rtt_min = rtt_ms
+            if rtt_ms > rtt_max:
+                rtt_max = rtt_ms
             rtt_sum += rtt_ms
             fbif = float(bif)
             bif_sum += fbif
-            bif_max = max(bif_max, fbif)
+            if fbif > bif_max:
+                bif_max = fbif
             bdp_sum += bdp
             now += round_s
 
@@ -585,15 +694,18 @@ class _DownloadPool:
         self.remaining[lane] = remaining
         self.cwnd[lane] = cwnd
         self.ssthresh[lane] = ssthresh
-        self.sent[lane] = sent
-        self.lost[lane] = lost
-        self.n_rounds[lane] = n_rounds
-        self.rtt_min[lane] = rtt_min
-        self.rtt_max[lane] = rtt_max
-        self.rtt_sum[lane] = rtt_sum
-        self.bif_sum[lane] = bif_sum
-        self.bif_max[lane] = bif_max
-        self.bdp_sum[lane] = bdp_sum
+        self.acc[:, lane] = (
+            rtt_min,
+            rtt_max,
+            rtt_sum,
+            bif_sum,
+            bif_max,
+            bdp_sum,
+            sent,
+            lost,
+            n_rounds,
+        )
+        return n_rounds - first_round
 
     def finish(self, lane: int) -> TransferResult:
         """Record the connection's idle mark and build the result.
@@ -1053,7 +1165,10 @@ def simulate_sessions(
     n = plan.n_sessions
     if n == 0:
         return []
-    paths = _build_paths(plan, streams)
+    with trace("datasets.genx.paths") as span:
+        paths = _build_paths(plan, streams)
+        span.add("lanes", n)
+        span.add("steps", paths.bw.size)
     adaptive = plan.adaptive.tolist()
 
     tcp_video = _TcpState(n, [st.tcp_video for st in streams], range(n))
@@ -1094,29 +1209,34 @@ def simulate_sessions(
         pool.install(i, kind, size, start)
 
     active = np.arange(n, dtype=np.int64)
-    while active.size > _SCALAR_TAIL:
-        done = pool.round(active)
-        if done.any():
-            keep = ~done
-            for j in np.flatnonzero(done).tolist():
-                lane = int(active[j])
-                result = pool.finish(lane)
-                if not lanes[lane].on_complete(result):
-                    kind, size, start = lanes[lane].next_request()
-                    pool.install(lane, kind, size, start)
-                    keep[j] = True
-            active = active[keep]
+    with trace("datasets.genx.vector_rounds") as span:
+        rounds = 0
+        while active.size > _SCALAR_TAIL:
+            rounds += 1
+            done = pool.round(active)
+            if done.any():
+                keep = ~done
+                for j in np.flatnonzero(done).tolist():
+                    lane = int(active[j])
+                    result = pool.finish(lane)
+                    if not lanes[lane].on_complete(result):
+                        kind, size, start = lanes[lane].next_request()
+                        pool.install(lane, kind, size, start)
+                        keep[j] = True
+                active = active[keep]
+        span.add("rounds", rounds)
 
     # Drain the stragglers scalar: with only a few lanes left, array
     # overhead per round dwarfs the work, and the longest sessions can
     # run tens of thousands of rounds past the rest of the corpus.
-    for lane in active.tolist():
-        while True:
-            pool.finish_scalar(lane)
-            result = pool.finish(lane)
-            if lanes[lane].on_complete(result):
-                break
-            kind, size, start = lanes[lane].next_request()
-            pool.install(lane, kind, size, start)
+    with trace("datasets.genx.scalar_tail") as span:
+        rounds = 0
+        for lane in active.tolist():
+            rounds += pool.drain(lane, lanes[lane])
+        span.add("lanes", active.size)
+        span.add("rounds", rounds)
 
-    return [lanes[i].materialize(streams[i].ident) for i in range(n)]
+    with trace("datasets.genx.materialize") as span:
+        sessions = [lanes[i].materialize(streams[i].ident) for i in range(n)]
+        span.add("sessions", n)
+    return sessions
