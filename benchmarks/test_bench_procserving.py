@@ -6,7 +6,8 @@ GIL serializes feature extraction and forest inference), so its gate
 is only 1.5x; the process backend must clear **>=2.5x serial
 sessions/sec with 4 process shards** (skipped, never weakened, on
 boxes with fewer than 4 usable cores) while staying *bit-identical* to
-the serial monitor.
+the serial monitor.  The process backend is the socket transport
+with ``placement="local:4"`` (one loopback worker process per shard).
 
 Population scale comes from **subscriber tiling**: a base synthetic
 trace is replicated under fresh subscriber identities, multiplying the

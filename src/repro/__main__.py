@@ -577,7 +577,8 @@ def main(argv=None) -> int:
         default="thread",
         help=(
             "run shards as in-process threads, as one process per shard "
-            "(true multi-core), or over the socket transport placed per "
+            "(true multi-core; the socket transport with --placement "
+            "local:N), or over the socket transport placed per "
             "--placement (default: thread)"
         ),
     )

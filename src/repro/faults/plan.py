@@ -83,8 +83,8 @@ class FaultPlan:
         it has accepted its ``partition_at_entry``-th record: the
         worker goes silent — no heartbeats, no reads — for
         ``partition_secs`` seconds while its TCP connection stays
-        alive.  The reachable-but-slow failure mode pipes never
-        exhibit; the supervisor must classify it *partitioned* (not
+        alive.  The reachable-but-slow failure mode a dead
+        process never exhibits; the supervisor must classify it *partitioned* (not
         dead) and quarantine without restarting.  ``None`` disables.
         Compact form: ``partition_shard=IDX@ENTRY:SECS``.
     slow_link_fraction, slow_link_ms:

@@ -17,22 +17,18 @@ that serving substrate:
     health/alarm semantics are exactly the serial monitor's.  Workers
     are *restartable*: the thread is a replaceable vehicle over
     surviving queue/tracker/monitor state.
-``procshard`` / ``router``
-    The same shard, as a *process*: true multi-core diagnosis behind
-    the identical ``submit()``/``health()``/``/metrics`` surface
-    (``QoEService(shard_backend="process")``).  Child registries fold
-    into the parent's at heartbeat and drain; the supervisor treats
-    process death like a worker kill.
 ``framing`` / ``netshard`` / ``placement``
-    The same shard, over a *socket*: length-prefixed CRC-checked
-    framing, workers placed per a shard-placement map (loopback
-    processes, in-process threads, or standalone ``python -m repro
-    netshard-worker`` processes on other machines), partition-tolerant
-    supervision (healthy / partitioned / dead with hysteresis,
-    quarantine-without-restart, reconnect-and-resume under a
-    deadline), and degradation to the serial monitor when every
-    remote shard is circuit-open
-    (``QoEService(shard_backend="socket", placement=...)``).
+    The same shard, out of process, over one socket transport:
+    length-prefixed CRC-checked framing, workers placed per a
+    shard-placement map (loopback processes, in-process threads, or
+    standalone ``python -m repro netshard-worker`` processes on other
+    machines), worker registries folded into the parent's at heartbeat
+    and drain, partition-tolerant supervision (healthy / partitioned /
+    dead with hysteresis, quarantine-without-restart,
+    reconnect-and-resume under a deadline), and degradation to the
+    serial monitor when every remote shard is circuit-open
+    (``QoEService(shard_backend="socket", placement=...)``;
+    ``shard_backend="process"`` is ``placement="local:N"``).
 ``batcher``
     Micro-batching of closed sessions so feature extraction and forest
     ``predict_proba`` run vectorized per batch instead of per session.
@@ -62,7 +58,7 @@ sessions via :mod:`repro.online`: shards keep streaming per-session
 feature state and emit :class:`~repro.online.early.ProvisionalDiagnosis`
 objects (aggregated in ``QoEService.provisional``) whose multiset is —
 like the final diagnoses — bit-identical to the serial monitor's at
-the same ``K``, on both shard backends.
+the same ``K``, on every shard backend.
 
 Guarantee worth restating: for any shard count, queue capacity and
 batch size (with a lossless policy), the service's diagnosis and alarm
@@ -92,7 +88,7 @@ from .netshard import (
     run_worker,
     start_inproc_worker,
 )
-from .placement import ShardPlacement, SocketShardRouter
+from .placement import RegistryFolder, ShardPlacement, SocketShardRouter
 from .queue import (
     POLICIES,
     BoundedQueue,
@@ -100,19 +96,13 @@ from .queue import (
     QueueEmpty,
     QueueFull,
 )
-from .procshard import ProcShardConfig, ProcShardWorker, ShardProcessDied
 from .replay import ReplayStats, TraceReplayer, synthetic_trace
-from .router import ProcessShardRouter, RegistryFolder
 from .service import QoEService
 from .shard import ShardWorker, shard_index
 from .supervisor import SHARD_STATES, ShardSupervisor
 
 __all__ = [
-    "ProcShardConfig",
-    "ProcShardWorker",
-    "ProcessShardRouter",
     "RegistryFolder",
-    "ShardProcessDied",
     "FrameError",
     "FrameAuthFailed",
     "FrameClosed",

@@ -1,9 +1,8 @@
 """Length-prefixed, CRC-checked socket framing for shard transport.
 
-The process backend's pipe protocol gets its ordering, integrity and
-message boundaries for free from :mod:`multiprocessing.connection`.
-Sockets give none of that beyond byte ordering, so the network shard
-transport defines an explicit frame::
+Sockets give a shard transport nothing beyond byte ordering — no
+message boundaries, no integrity check — so the remote-shard transport
+(:mod:`repro.serving.netshard`) defines an explicit frame::
 
     0      2     3     4        8        12
     +------+-----+-----+--------+--------+----------------+
@@ -19,8 +18,8 @@ transport defines an explicit frame::
   rejected without allocating or reading gigabytes.
 * **crc32** covers the payload; a frame that arrives bit-flipped is
   dropped as :class:`FrameCorrupted`, never unpickled.
-* **payload** is a compact pickled ``(kind, body)`` tuple — the same
-  message vocabulary the pipe protocol speaks.
+* **payload** is a compact pickled ``(kind, body)`` tuple — one
+  message of the shard vocabulary listed in :mod:`repro.serving.netshard`.
 
 Every failure mode is a typed :class:`FrameError` subclass, so the
 reader thread can distinguish "peer is gone" (:class:`FrameClosed`)

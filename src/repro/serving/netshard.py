@@ -1,11 +1,12 @@
-"""Socket-backed shard workers: diagnosis across machines.
+"""Socket-backed shard workers: the one remote-shard transport.
 
-:mod:`repro.serving.procshard` moved shards onto other *cores*; this
-module moves them onto other *machines* — the transport becomes a
-length-prefixed, CRC-checked socket frame (:mod:`repro.serving.framing`)
-and the spawning parent becomes a *placement map*
-(:mod:`repro.serving.placement`).  The message vocabulary is exactly
-the pipe protocol's::
+This module moves shards off the serving process — onto other cores
+(``placement="local:N"`` spawns loopback worker processes, which is
+also what ``shard_backend="process"`` means) or other machines.  The
+transport is a length-prefixed, CRC-checked socket frame
+(:mod:`repro.serving.framing`) and *where* each worker runs is a
+placement map (:mod:`repro.serving.placement`).  The message
+vocabulary::
 
     parent → worker  ("hello",   {token, shard, resume, config?,
                                   out_diagnoses/alarms/provisional/
@@ -27,19 +28,22 @@ proven possession of the shared key, and the worker additionally pins
 the first ``hello``'s token so a reconnect from a *different* parent
 (same key, other service instance) cannot hijack a live session.
 
-The network adds failure modes pipes never exhibit, and the design is
-built around them:
+The network adds failure modes a local pipe never exhibits, and the
+design is built around them:
 
 * **Session sequence numbers.**  Every entry the parent ships carries
   a per-shard monotonically increasing sequence number; the worker
-  acknowledges the highest sequence it has accepted in every
-  heartbeat and deduplicates on it.  The parent retains sent entries
-  in an *unacked* buffer until acknowledged — so a dropped connection
-  loses nothing: the reconnect handshake (``hello`` with
-  ``resume=True``) learns the worker's ``recv_seq``, prunes the
-  buffer, and resends the gap **in order**.  The worker's
-  per-subscriber monotonicity watermark therefore survives a
-  reconnect with no duplicate and no regressed entry.
+  deduplicates on it and acknowledges the highest sequence it has
+  accepted in an ``hb`` — on the heartbeat cadence, and at once
+  whenever everything received has been handed to its bounded queue,
+  so the parent's unacked window refills as fast as the worker
+  absorbs entries.  The parent retains sent entries in an *unacked*
+  buffer until acknowledged — so a dropped connection loses nothing:
+  the reconnect handshake (``hello`` with ``resume=True``) learns the
+  worker's ``recv_seq``, prunes the buffer, and resends the gap **in
+  order**.  The worker's per-subscriber monotonicity watermark
+  therefore survives a reconnect with no duplicate and no regressed
+  entry.
 * **Partitioned ≠ dead.**  A worker that is reachable-but-slow keeps
   its TCP connection alive while its heartbeats go stale.  The
   parent-side handle exposes ``connection_alive`` so the supervisor's
@@ -51,12 +55,16 @@ built around them:
   handle declare the shard dead and hand it to the supervisor's
   restart/circuit machinery.
 * **At-most-once across a worker death.**  A dead worker (process
-  exit, unreachable address) loses its whole shard state, exactly
-  like a dead shard process: the parent marks every subscriber it
-  ever shipped there as fault-affected and the replacement starts
-  empty.  Results already received stay received — ``out`` messages
-  are cumulative-cursor based, and the resume handshake tells the
-  worker which outputs the parent already holds, so a reconnect never
+  exit, unreachable address) loses its whole shard state — a wider
+  blast radius than a thread kill, which keeps tracker and health
+  alive under the replaced thread: the parent marks every subscriber
+  it ever shipped there as fault-affected and the replacement starts
+  empty.  An injected kill consumes the plan's ``kill_times`` budget
+  across restarts (the parent decrements what each dead worker
+  reports), so a relaunched worker does not kill-loop.  Results
+  already received stay received — ``out`` messages are
+  cumulative-cursor based, and the resume handshake tells the worker
+  which outputs the parent already holds, so a reconnect never
   re-delivers nor drops a diagnosis.
 
 Worker deployment shapes (all speak the identical protocol):
@@ -65,9 +73,13 @@ Worker deployment shapes (all speak the identical protocol):
   spawn cost, CI-friendly, shares the parent registry (so it ships no
   registry deltas).
 * spawn-local — a child *process* over loopback (the router does this
-  for ``placement="local:N"``), true multi-core like procshard.
+  for ``placement="local:N"``), true multi-core diagnosis.
 * standalone — ``python -m repro netshard-worker --listen HOST:PORT``;
   the parent ships the model inside ``hello`` at connect time.
+
+Every (re)launch and every remote ``hello`` ships the model the
+parent's :class:`~repro.serving.models.ModelManager` holds at that
+moment, so a reload reaches a remote shard at its next restart.
 
 Known limitations (documented, not silent): registry deltas and trace
 exemplars in flight when a connection drops are lost (telemetry may
@@ -82,6 +94,7 @@ import multiprocessing as mp
 import os
 import secrets
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -111,7 +124,6 @@ from .framing import (
     deliver_challenge,
 )
 from .models import ModelManager
-from .procshard import _default_start_method, _KillBudget
 from .queue import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
 from .shard import ShardWorker
 
@@ -148,6 +160,24 @@ _HELLO_TIMEOUT_S = 5.0
 _PORT_DEADLINE_S = 30.0
 
 
+def _default_start_method() -> str:
+    """``spawn`` where it can work, ``fork`` where only fork can.
+
+    Spawn is the safe default: a fork taken while sibling shards'
+    sender/receiver threads hold registry or queue locks could deadlock
+    the child.  But spawn re-imports the parent's ``__main__`` from its
+    file path — when the driver came from stdin or ``exec`` (heredoc
+    scripts, notebooks) there is no such file and every child would die
+    on startup — so those parents fall back to fork.
+    """
+    if "spawn" not in mp.get_all_start_methods():
+        return "fork"
+    main_file = getattr(sys.modules.get("__main__"), "__file__", None)
+    if main_file is not None and not os.path.exists(main_file):
+        return "fork"
+    return "spawn"
+
+
 class ShardUnreachable(RuntimeError):
     """No connection could be established within the connect deadline."""
 
@@ -160,8 +190,9 @@ class ShardConnectionLost(RuntimeError):
 class NetShardConfig:
     """Everything a socket shard worker needs, picklable for spawn/hello.
 
-    The same knob set as :class:`~repro.serving.procshard.ProcShardConfig`
-    plus the network-only fields: ``partition_at_entry`` /
+    The shard's :class:`ShardWorker` knobs plus the fault plan's
+    remaining budgets: ``kill_at_entry`` / ``kill_times`` (the parent
+    decrements them across restarts), ``partition_at_entry`` /
     ``partition_secs`` carry the fault plan's *partition* spec for this
     shard (the worker goes reachable-but-silent for that long after
     accepting its N-th entry), and ``ship_registry`` is switched off
@@ -233,13 +264,34 @@ class SocketOpts:
 _LETTER_RETAIN = 1024
 
 
+class _KillBudget:
+    """Worker-side chaos hook honouring the plan's remaining kill budget."""
+
+    def __init__(self, at_entry: int, times: int) -> None:
+        self.at_entry = at_entry
+        self.times = times
+        self.fired = 0
+
+    def hook(self, shard_index: int, entry: WeblogEntry, picked_up: int) -> None:
+        if self.fired >= self.times or picked_up < self.at_entry:
+            return
+        self.fired += 1
+        from repro.faults.injector import InjectedFault
+
+        raise InjectedFault(
+            f"injected kill: shard {shard_index} process at its entry "
+            f"#{picked_up}"
+        )
+
+
 class _LetterLog:
     """Worker-side dead-letter shim with a non-destructive cursor.
 
-    Unlike the pipe backend's take()-based shim, letters stay in the
-    log so a reconnecting parent can rewind the cursor to what it
-    actually received and get the in-flight letters again.  Cursors
-    are *absolute* letter indices; ``base`` is the absolute index of
+    The parent performs the one real
+    :meth:`~repro.serving.dlq.DeadLetterQueue.put` per letter.  Letters
+    stay in the log after shipping so a reconnecting parent can rewind
+    the cursor to what it actually received and get the in-flight
+    letters again.  Cursors are *absolute* letter indices; ``base`` is the absolute index of
     the first retained letter, so confirmed letters can be trimmed
     (bounded memory on a noisy long-lived worker) without shifting
     anyone's cursor.
@@ -454,6 +506,20 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
     worker = st.worker
     queue = st.queue
     last_beat = 0.0
+    acked_seq = st.recv_seq  # the hello_ack just reported it
+
+    def beat() -> None:
+        nonlocal acked_seq
+        acked_seq = st.recv_seq
+        stream.send(
+            "hb",
+            {
+                "open_sessions": worker.monitor.tracker.open_sessions,
+                "pending": worker.batcher.pending,
+                "recv_seq": acked_seq,
+            },
+        )
+
     while True:
         while st.backlog and worker.state in ("created", "running"):
             try:
@@ -461,6 +527,11 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
                 st.backlog.popleft()
             except QueueFull:
                 break
+        if not st.backlog and st.recv_seq != acked_seq:
+            # Everything received now sits in the bounded queue: ack it
+            # at once so the parent's unacked window refills at the
+            # rate the worker absorbs entries, not the heartbeat's.
+            beat()
         msg = stream.recv(timeout=0.0 if st.backlog else _POLL_S)
         if msg is not None:
             kind, payload = msg
@@ -527,14 +598,7 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
             last_beat = now
             st.flush_outputs(stream)
             st.ship_registry(stream)
-            stream.send(
-                "hb",
-                {
-                    "open_sessions": worker.monitor.tracker.open_sessions,
-                    "pending": worker.batcher.pending,
-                    "recv_seq": st.recv_seq,
-                },
-            )
+            beat()
 
 
 def run_worker(
@@ -752,6 +816,11 @@ class SocketShardWorker:
         Optional deterministic delay callable ``(seq) -> seconds``
         applied before each entries frame (the fault plan's
         ``slow_link`` spec).
+    models:
+        Optional :class:`~repro.serving.models.ModelManager` whose
+        current model replaces ``config.framework`` at every worker
+        (re)launch and remote ``hello``, so a reload reaches the shard
+        at its next restart.
     """
 
     def __init__(
@@ -771,6 +840,7 @@ class SocketShardWorker:
         opts: Optional[SocketOpts] = None,
         slow_link: Optional[Callable[[int], float]] = None,
         start_method: Optional[str] = None,
+        models: Optional[ModelManager] = None,
     ) -> None:
         if mode not in ("spawn", "inproc", "remote"):
             raise ValueError(f"unknown netshard mode {mode!r}")
@@ -789,6 +859,7 @@ class SocketShardWorker:
         self._fold = fold
         self._faults = faults
         self._slow_link = slow_link
+        self._models = models
         self._mp = (
             mp.get_context(start_method or _default_start_method())
             if mode == "spawn"
@@ -978,10 +1049,18 @@ class SocketShardWorker:
     # Worker launch / connection establishment
     # ------------------------------------------------------------------
 
+    def _launch_config(self) -> NetShardConfig:
+        """What a fresh worker starts from: the live model (when a
+        manager is attached) and the plan's remaining kill budget."""
+        config = replace(self.config, kill_times=self._kill_times_left)
+        if self._models is not None:
+            config.framework = self._models.current
+        return config
+
     def _launch_worker(self) -> None:
         if self.mode == "remote":
             return
-        config = replace(self.config, kill_times=self._kill_times_left)
+        config = self._launch_config()
         if self.mode == "inproc":
             self._worker_thread, self._worker_port = start_inproc_worker(
                 config, auth_key=self._auth_key
@@ -1085,9 +1164,7 @@ class SocketShardWorker:
             "out_letters": self._received["letters"],
         }
         if self.mode == "remote":
-            hello["config"] = replace(
-                self.config, kill_times=self._kill_times_left
-            )
+            hello["config"] = self._launch_config()
         try:
             stream.send("hello", hello)
             ack = stream.recv(timeout=_HELLO_TIMEOUT_S)

@@ -1,14 +1,14 @@
-"""Shard placement maps and the socket-backend router.
+"""Shard placement maps and the remote-shard router.
 
-Where the process backend always spawns its children itself, the
-socket backend separates *what runs where* (this module's
+Remote shards separate *what runs where* (this module's
 :class:`ShardPlacement`) from *how it is supervised* (the
-:class:`SocketShardWorker` fleet built by :class:`SocketShardRouter`).
-Three placement shapes, one spec grammar:
+:class:`~repro.serving.netshard.SocketShardWorker` fleet built by
+:class:`SocketShardRouter`).  Three placement shapes, one spec grammar:
 
 ``local:N``
     Spawn ``N`` worker *processes* over loopback — the multi-core
-    deployment, procshard's semantics over the socket transport.
+    deployment.  ``QoEService(shard_backend="process")`` is this
+    placement under another name.
 ``inproc:N``
     Run ``N`` workers as daemon *threads* of this process, still over
     a real loopback socket — zero spawn cost, CI-friendly, exercises
@@ -23,25 +23,65 @@ Routing itself is unchanged: ``QoEService.submit`` keeps using the
 same CRC32 :func:`~repro.serving.shard.shard_index` partitioning, so a
 subscriber's entries land on the same shard index no matter which
 machine that index lives on.
+
+:class:`RegistryFolder` is the merge point for worker telemetry: every
+worker process ships :func:`~repro.obs.registry.registry_state_delta`
+increments on its heartbeat cadence and at drain, and the folder folds
+each into the parent registry with :meth:`MetricsRegistry.merge`.
+Because the parent's ``PipelineTelemetry`` and ``SLOEngine`` hold
+children of that same registry, worker stage observations land
+directly in the histograms the SLO windows and ``/metrics`` read.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.framework import SessionDiagnosis
-from repro.obs import MetricsRegistry, get_logger
+from repro.obs import MetricsRegistry, get_logger, get_registry
 from repro.realtime.monitor import Alarm
 
 from .dlq import DeadLetterQueue
+from .models import ModelManager
 from .netshard import NetShardConfig, SocketOpts, SocketShardWorker
 from .queue import BoundedQueue
-from .router import RegistryFolder
 
-__all__ = ["ShardPlacement", "SocketShardRouter"]
+__all__ = ["RegistryFolder", "ShardPlacement", "SocketShardRouter"]
 
 _LOG = get_logger("serving.placement")
+
+
+class RegistryFolder:
+    """Folds worker-process registry deltas into one parent registry."""
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        self._registry = registry if registry is not None else get_registry()
+        self._lock = threading.Lock()
+        self.folds = 0
+        self.errors = 0
+
+    def absorb(self, delta_state: Dict) -> None:
+        """Merge one worker delta; errors are counted, never propagated.
+
+        Receiver threads call this — a bad delta (schema drift,
+        mismatched buckets) must degrade telemetry, not kill the
+        thread that also handles the shard's death reporting.
+        """
+        try:
+            self._registry.merge(MetricsRegistry.from_state(delta_state))
+        except Exception:
+            with self._lock:
+                self.errors += 1
+            _LOG.exception("registry_fold_failed")
+            return
+        with self._lock:
+            self.folds += 1
+
+    def snapshot(self) -> Dict:
+        with self._lock:
+            return {"folds": self.folds, "errors": self.errors}
 
 
 @dataclass(frozen=True)
@@ -133,18 +173,18 @@ class ShardPlacement:
 class SocketShardRouter:
     """Constructs and owns the socket-shard fleet for one service.
 
-    The socket twin of :class:`~repro.serving.router.
-    ProcessShardRouter`: one parent-side queue + config per shard, all
-    sharing one :class:`~repro.serving.router.RegistryFolder` and the
-    service's DLQ; kill *and* partition specs come from the fault
-    injector by value, and the ``slow_link`` delay hook is threaded
-    into every worker's sender.
+    One parent-side queue + config per shard, all sharing one
+    :class:`RegistryFolder` and the service's DLQ; kill *and*
+    partition specs come from the fault injector by value, and the
+    ``slow_link`` delay hook is threaded into every worker's sender.
+    Every worker holds the service's :class:`ModelManager` and reads
+    its current model at each (re)launch and remote ``hello``.
     """
 
     def __init__(
         self,
         placement: ShardPlacement,
-        framework,
+        models: ModelManager,
         dead_letters: DeadLetterQueue,
         queue_capacity: int = 1024,
         policy: str = "block",
@@ -189,7 +229,6 @@ class SocketShardRouter:
                     partition_at, partition_secs = partition_spec
             config = NetShardConfig(
                 index=index,
-                framework=framework,
                 queue_capacity=queue_capacity,
                 max_batch=max_batch,
                 max_delay_s=max_delay_s,
@@ -227,6 +266,7 @@ class SocketShardRouter:
                     opts=socket_opts,
                     slow_link=slow_link,
                     start_method=start_method,
+                    models=models,
                 )
             )
         _LOG.info(

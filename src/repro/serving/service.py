@@ -117,17 +117,19 @@ class QoEService:
         an ingest queue in front.
     shard_backend:
         ``"thread"`` (default) runs shards as in-process worker
-        threads; ``"process"`` runs each shard in its own process via
-        :mod:`repro.serving.procshard` for true multi-core diagnosis;
-        ``"socket"`` runs each shard behind a length-prefixed socket
-        transport (:mod:`repro.serving.netshard`) placed per
+        threads; ``"socket"`` runs each shard behind a length-prefixed
+        socket transport (:mod:`repro.serving.netshard`) placed per
         ``placement`` — loopback processes, in-process threads, or
-        standalone workers on other machines.  Semantics are identical
-        (same CRC32 partition, same per-subscriber order, same
-        diagnosis/alarm multisets); the process and socket backends
-        additionally fold per-child metric registries into this
-        process's registry at heartbeat and drain.  Model hot-reload
-        only reaches process/socket shards at their next restart.
+        standalone workers on other machines.  ``"process"`` is
+        ``"socket"`` with ``placement="local:N"`` (one loopback worker
+        process per shard, true multi-core diagnosis); the service then
+        reports itself as ``"socket"``.  Semantics are identical (same
+        CRC32 partition, same per-subscriber order, same
+        diagnosis/alarm multisets); socket shards additionally fold
+        per-worker metric registries into this process's registry at
+        heartbeat and drain.  Model hot-reload reaches socket shards
+        at their next restart: every worker launch ships the model
+        :attr:`models` holds at that moment.
     placement:
         Socket backend only: a placement spec parsed by
         :meth:`~repro.serving.placement.ShardPlacement.parse` —
@@ -237,6 +239,8 @@ class QoEService:
             )
         if placement is not None and shard_backend != "socket":
             raise ValueError("placement is only meaningful with shard_backend='socket'")
+        if shard_backend == "process":  # one loopback worker process per shard
+            shard_backend, placement = "socket", f"local:{n_shards}"
         self.shard_backend = shard_backend
         self.models = (
             models if isinstance(models, ModelManager) else ModelManager(models)
@@ -309,7 +313,7 @@ class QoEService:
                 opts = SocketOpts(**socket_opts)
             self.router = SocketShardRouter(
                 placement=parsed,
-                framework=self.models.current,
+                models=self.models,
                 dead_letters=self.dead_letters,
                 queue_capacity=queue_capacity,
                 policy=policy,
@@ -334,39 +338,6 @@ class QoEService:
                 early_confidence=early_confidence,
                 on_provisional=on_provisional,
                 socket_opts=opts,
-            )
-            self._shards: List[ShardWorker] = self.router.shards
-        elif shard_backend == "process":
-            # Local import: the router pulls in multiprocessing-backed
-            # shards the thread backend never needs.
-            from .router import ProcessShardRouter
-
-            self.router = ProcessShardRouter(
-                n_shards=n_shards,
-                framework=self.models.current,
-                dead_letters=self.dead_letters,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                max_batch=max_batch,
-                max_delay_s=max_delay_s,
-                idle_gap_s=idle_gap_s,
-                min_media_chunks=min_media_chunks,
-                severe_alarm_after=severe_alarm_after,
-                stall_ratio_alarm=stall_ratio_alarm,
-                min_sessions_for_ratio=min_sessions_for_ratio,
-                clock_skew_tolerance_s=clock_skew_tolerance_s,
-                telemetry=self.telemetry is not None,
-                sample_every=(
-                    self.telemetry.sample_every
-                    if self.telemetry is not None
-                    else 128
-                ),
-                on_diagnosis=on_diagnosis,
-                on_alarm=on_alarm,
-                faults=faults,
-                early_after_chunks=early_after_chunks,
-                early_confidence=early_confidence,
-                on_provisional=on_provisional,
             )
             self._shards: List[ShardWorker] = self.router.shards
         else:

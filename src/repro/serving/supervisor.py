@@ -18,7 +18,7 @@ Every shard also carries a typed **health state** — ``healthy`` /
 * ``healthy`` — alive, heartbeats fresh.
 * ``partitioned`` — reachable but slow: ``partition_enter_ticks``
   consecutive stale-heartbeat polls while the transport still reports
-  ``connection_alive`` (duck-typed; thread/process shards are always
+  ``connection_alive`` (duck-typed; thread shards are always
   "alive" in this sense, so for them the state degenerates to the old
   stalled flag).  A partitioned shard's state is intact — restarting
   it would *destroy* work — so the supervisor quarantines its unsent
@@ -104,11 +104,12 @@ class ShardSupervisor:
 
     Duck-typed over the worker surface (``state``/``alive``/``error``/
     ``restarts``/``restart()``/``heartbeat_age_s()``/``queue``), so the
-    process-backed :class:`~repro.serving.procshard.ProcShardWorker`
-    is supervised by the identical state machine: a dead *process*
-    (nonzero exit, broken pipe) surfaces as ``state == "failed"`` and
-    gets the same restart-with-backoff → circuit-break → quarantine
-    treatment as a dead worker thread.
+    socket-backed :class:`~repro.serving.netshard.SocketShardWorker`
+    is supervised by the identical state machine: a dead worker
+    (process exit, connection lost past its reconnect deadline)
+    surfaces as ``state == "failed"`` and gets the same
+    restart-with-backoff → circuit-break → quarantine treatment as a
+    dead worker thread.
 
     Parameters
     ----------
@@ -419,7 +420,7 @@ class ShardSupervisor:
         stale = shard.heartbeat_age_s(now) > self.heartbeat_timeout_s
         # A stale heartbeat over a *dead* transport is a reconnect in
         # flight, not a partition: it resolves into fresh heartbeats or
-        # into state == "failed" on its own.  Thread/process shards
+        # into state == "failed" on its own.  Thread shards
         # have no transport and report always-alive (duck typing), so
         # for them staleness alone drives the state, as before.
         partition_signal = stale and getattr(shard, "connection_alive", True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -260,6 +261,121 @@ class TestReconnectResume:
         assert all(s.restarts == 0 for s in service.router.shards)
         assert diagnosis_multiset(service.diagnoses) == diagnosis_multiset(
             serial.diagnoses
+        )
+
+
+class TestAckWindow:
+    def test_burst_drains_without_waiting_for_heartbeats(
+        self, serving_framework, serving_trace, serial
+    ):
+        """A burst many unacked windows long must drain at the rate
+        the worker queue absorbs it: the worker acks as soon as its
+        bounded queue holds everything received, so no throughput
+        rides on the heartbeat cadence (parked far past the replay
+        here, and the staleness watchdog with it)."""
+        window = 8
+        assert len(serving_trace) > 50 * window
+        service = QoEService(
+            serving_framework,
+            n_shards=1,
+            shard_backend="socket",
+            placement="inproc:1",
+            socket_opts=dict(max_unacked=window),
+            heartbeat_timeout_s=600.0,
+        )
+        shard = service.router.shards[0]
+        shard.config = replace(shard.config, heartbeat_interval_s=600.0)
+        drained = threading.Event()
+
+        def replay():
+            with service:
+                service.submit_many(serving_trace)
+            drained.set()
+
+        threading.Thread(target=replay, daemon=True).start()
+        assert drained.wait(timeout=20.0), "burst stalled on the ack window"
+        assert diagnosis_multiset(service.diagnoses) == diagnosis_multiset(
+            serial.diagnoses
+        )
+        assert shard.reconnects == 0 and shard.restarts == 0
+
+
+class TestReloadReachesRelaunchedWorker:
+    def test_relaunched_worker_scores_with_reloaded_model(
+        self, serving_framework, stall_records, adaptive_records, tmp_path
+    ):
+        """Reload, then kill a shard: its relaunched worker scores with
+        the reloaded model, while the shard that never restarted keeps
+        the model it was launched with."""
+        from repro import QoEFramework
+        from repro.persistence import load_framework, save_framework
+
+        old_path, new_path = tmp_path / "old.json", tmp_path / "new.json"
+        save_framework(serving_framework, old_path)
+        save_framework(
+            QoEFramework(random_state=1, n_estimators=3).fit(
+                stall_records, adaptive_records
+            ),
+            new_path,
+        )
+        live = tmp_path / "live.json"
+        live.write_bytes(old_path.read_bytes())
+
+        early = synthetic_trace(40, seed=17, subscribers=20)
+        late = [
+            replace(entry, subscriber_id=entry.subscriber_id + "~late")
+            for entry in synthetic_trace(40, seed=31, subscribers=20)
+        ]
+        victim = shard_index(early[0].subscriber_id, 2)
+        faults = FaultInjector(
+            FaultPlan(seed=23, kill_shard=victim, kill_at_entry=25, kill_times=1)
+        )
+        service = QoEService(
+            str(live),
+            n_shards=2,
+            shard_backend="socket",
+            placement="inproc:2",
+            faults=faults,
+            socket_opts=dict(connect_deadline_s=1.0),
+        )
+        with service:
+            live.write_bytes(new_path.read_bytes())
+            assert service.models.reload()
+            service.submit_many(early)
+            shard = service.router.shards[victim]
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline and not (
+                shard.restarts >= 1 and shard.state == "running"
+            ):
+                time.sleep(0.02)
+            assert shard.restarts >= 1, "the kill never forced a restart"
+            service.submit_many(late)
+        assert faults.kills_fired == 1
+
+        def late_part(diagnoses, on_victim):
+            return diagnosis_multiset(
+                d
+                for d in diagnoses
+                if _subscriber(d.session_id).endswith("~late")
+                and (shard_index(_subscriber(d.session_id), 2) == victim)
+                == on_victim
+            )
+
+        def serial_on(path):
+            monitor = RealTimeMonitor(
+                load_framework(path), tracker=OnlineSessionTracker()
+            )
+            monitor.feed_many(late)
+            monitor.drain()
+            return monitor.diagnoses
+
+        old_serial, new_serial = serial_on(old_path), serial_on(new_path)
+        # The two models disagree on the relaunched shard's sessions,
+        # so equality below says which model scored them.
+        assert late_part(new_serial, True) != late_part(old_serial, True)
+        assert late_part(service.diagnoses, True) == late_part(new_serial, True)
+        assert late_part(service.diagnoses, False) == late_part(
+            old_serial, False
         )
 
 

@@ -69,7 +69,8 @@ class TestProcessDeterminism:
         assert alarm_multiset(service.alarms) == alarm_multiset(serial.alarms)
 
         health = service.health()
-        assert health["backend"] == "process"
+        assert health["backend"] == "socket"
+        assert health["router"]["placement"] == "local:4"
         assert health["state"] == "stopped"
         assert health["restarts"] == 0
         assert sum(
