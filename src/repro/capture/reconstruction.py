@@ -14,14 +14,17 @@ into sessions from traffic shape alone.  The paper's three steps:
    consecutive sessions are identified in order to clearly define the
    beginning and ending of each session."
 
-The known limitation is preserved too: parallel sessions of one
-subscriber interleave and cannot be separated.
+Steps 2 and 3 run per subscriber, incrementally, on the request
+timestamps; offline reconstruction is the same grouper fed a sorted
+capture.  The known limitation is preserved too: parallel sessions of
+one subscriber interleave and cannot be separated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs import get_registry, trace
 
@@ -35,7 +38,7 @@ __all__ = [
 ]
 
 _YOUTUBE_SUFFIXES = (".youtube.com", ".googlevideo.com", ".ytimg.com")
-_SIGNALLING_PAGE_HOSTS = ("m.youtube.com", "www.youtube.com")
+_PAGE_HOSTS = ("m.youtube.com", "www.youtube.com")
 
 #: Address space the simulated Google CDN lives in (see
 #: :func:`repro.capture.proxy.server_ip_for`).  With encrypted SNI
@@ -80,20 +83,13 @@ def is_youtube_ip(server_ip: str) -> bool:
     return server_ip.startswith(_YOUTUBE_IP_PREFIX)
 
 
-def _is_media_host(server_name: str) -> bool:
-    return server_name.lower().endswith(".googlevideo.com")
-
-
-def _is_page_host(server_name: str) -> bool:
-    return server_name.lower() in _SIGNALLING_PAGE_HOSTS
-
-
 @dataclass
 class ReconstructedSession:
     """One regrouped encrypted session."""
 
     media: List[WeblogEntry] = field(default_factory=list)
     signalling: List[WeblogEntry] = field(default_factory=list)
+    subscriber_id: str = ""
 
     @property
     def start_s(self) -> float:
@@ -111,13 +107,26 @@ class ReconstructedSession:
 
 
 class SessionReconstructor:
-    """Groups a subscriber's encrypted weblogs into video sessions.
+    """Groups encrypted weblogs into video sessions, per subscriber.
+
+    The one implementation of the 3-step heuristic, offline and online.
+    :meth:`observe` feeds one entry and returns the sessions it closes;
+    :meth:`flush` closes idle (or all) open sessions; :meth:`reconstruct`
+    runs a whole capture through fresh state.  The online
+    :class:`~repro.realtime.tracker.OnlineSessionTracker` wraps one
+    instance.
+
+    The idle gap runs on the request-timestamp clock: a subscriber's
+    session closes when a request starts more than ``idle_gap_s`` after
+    the latest request start seen in it.  (Comparing a request against
+    the previous entry's *arrival* let one long transaction hold a
+    session open past the gap.)
 
     Parameters
     ----------
     idle_gap_s:
-        A silence longer than this between consecutive YouTube entries
-        closes the current session.
+        A silence longer than this between request timestamps closes
+        the subscriber's current session.
     min_media_chunks:
         Groups with fewer media entries are discarded (page visits that
         never started a playback).
@@ -146,76 +155,131 @@ class SessionReconstructor:
         self.idle_gap_s = idle_gap_s
         self.min_media_chunks = min_media_chunks
         self.use_sni = use_sni
+        # The rule's predicates, bound once; ``is_service`` (step 1) is
+        # public so a caller can skip foreign traffic cheaply.
+        if use_sni:
+            self.is_service = lambda e: is_youtube_host(e.server_name)
+            self._is_media = lambda e: e.server_name.lower().endswith(
+                ".googlevideo.com"
+            )
+            self._is_page = lambda e: e.server_name.lower() in _PAGE_HOSTS
+        else:
+            limit = self.SIGNALLING_MAX_BYTES
+            self.is_service = lambda e: is_youtube_ip(e.server_ip)
+            self._is_media = lambda e: e.object_bytes > limit
+            # Page requests are indistinguishable under ECH.
+            self._is_page = lambda e: False
+        self._open: Dict[str, ReconstructedSession] = {}
+        #: Latest request timestamp per open session: the idle-gap clock.
+        self._clock: Dict[str, float] = {}
+        #: Lifetime counts: service entries fed, and groups closed with
+        #: too few media chunks.
+        self.entries = 0
+        self.discarded = 0
 
-    def _is_service(self, entry: WeblogEntry) -> bool:
-        if self.use_sni:
-            return is_youtube_host(entry.server_name)
-        return is_youtube_ip(entry.server_ip)
+    @property
+    def open_sessions(self) -> int:
+        """Number of subscribers with a session currently open."""
+        return len(self._open)
 
-    def _is_media(self, entry: WeblogEntry) -> bool:
-        if self.use_sni:
-            return _is_media_host(entry.server_name)
-        return entry.object_bytes > self.SIGNALLING_MAX_BYTES
+    def open_session(
+        self, subscriber_id: str
+    ) -> Optional[ReconstructedSession]:
+        """The subscriber's still-open group, if any."""
+        return self._open.get(subscriber_id)
 
-    def _is_page(self, entry: WeblogEntry) -> bool:
-        if self.use_sni:
-            return _is_page_host(entry.server_name)
-        return False    # page requests are indistinguishable under ECH
+    def _close(self, subscriber_id: str) -> List[ReconstructedSession]:
+        session = self._open.pop(subscriber_id)
+        del self._clock[subscriber_id]
+        if len(session.media) < self.min_media_chunks:
+            self.discarded += 1
+            return []
+        return [session]
+
+    def observe(self, entry: WeblogEntry) -> List[ReconstructedSession]:
+        """Feed one entry; returns the kept sessions it closes.
+
+        Entries are expected in request-timestamp order per subscriber;
+        an older request joins the open session without moving its
+        idle-gap clock back.
+        """
+        # Step 1: service filter.
+        if not self.is_service(entry):
+            return []
+        self.entries += 1
+        subscriber = entry.subscriber_id
+        timestamp = entry.timestamp_s
+        closed: List[ReconstructedSession] = []
+        current = self._open.get(subscriber)
+        if current is not None and (
+            # Step 3: an idle gap ends the session ...
+            timestamp - self._clock[subscriber] > self.idle_gap_s
+            # Step 2: ... and so does a watch-page request after media
+            # activity (back-to-back videos).
+            or (current.media and self._is_page(entry))
+        ):
+            closed = self._close(subscriber)
+            current = None
+        if current is None:
+            current = self._open[subscriber] = ReconstructedSession(
+                subscriber_id=subscriber
+            )
+            self._clock[subscriber] = timestamp
+        elif timestamp > self._clock[subscriber]:
+            self._clock[subscriber] = timestamp
+        if self._is_media(entry):
+            current.media.append(entry)
+        else:
+            current.signalling.append(entry)
+        return closed
+
+    def flush(
+        self, now_s: Optional[float] = None
+    ) -> List[ReconstructedSession]:
+        """Close idle (or, with ``now_s=None``, all) open sessions.
+
+        ``now_s`` is read on the request-timestamp clock, like the
+        in-stream idle gap.
+        """
+        closed: List[ReconstructedSession] = []
+        for subscriber, clock in list(self._clock.items()):
+            if now_s is None or now_s - clock > self.idle_gap_s:
+                closed.extend(self._close(subscriber))
+        return closed
 
     def reconstruct(
         self, entries: Iterable[WeblogEntry]
     ) -> List[ReconstructedSession]:
-        """Run the 3-step heuristic over one subscriber's weblogs."""
-        with trace("capture.reconstruct") as span:
-            sessions = self._reconstruct(entries)
-            span.add("sessions", len(sessions))
-            span.add("chunks", sum(s.chunk_count for s in sessions))
-        return sessions
+        """Run the 3-step heuristic over a whole capture.
 
-    def _reconstruct(
-        self, entries: Iterable[WeblogEntry]
-    ) -> List[ReconstructedSession]:
-        # Step 1: service filter.
-        youtube = sorted(
-            (e for e in entries if self._is_service(e)),
-            key=lambda e: e.timestamp_s,
+        Sessions come grouped by subscriber, in the order of each
+        subscriber's first entry in ``entries``, and in time order
+        within a subscriber.
+        """
+        rank: Dict[str, int] = {}
+        service: List[WeblogEntry] = []
+        state = SessionReconstructor(
+            self.idle_gap_s, self.min_media_chunks, self.use_sni
         )
+        with trace("capture.reconstruct") as span:
+            for entry in entries:
+                rank.setdefault(entry.subscriber_id, len(rank))
+                if state.is_service(entry):
+                    service.append(entry)
+            service.sort(key=attrgetter("timestamp_s"))
+            kept: List[ReconstructedSession] = []
+            for entry in service:
+                kept.extend(state.observe(entry))
+            kept.extend(state.flush())
+            # A subscriber's sessions close in time order; the stable
+            # sort only gathers them by subscriber.
+            kept.sort(key=lambda s: rank[s.subscriber_id])
+            chunks = sum(s.chunk_count for s in kept)
+            span.add("sessions", len(kept))
+            span.add("chunks", chunks)
 
-        sessions: List[ReconstructedSession] = []
-        current: ReconstructedSession = None
-        last_time: float = None
-
-        for entry in youtube:
-            gap_break = (
-                last_time is not None
-                and entry.timestamp_s - last_time > self.idle_gap_s
-            )
-            # Step 2: a watch-page request after media activity marks a
-            # new session even without an idle gap (back-to-back videos).
-            page_break = (
-                current is not None
-                and self._is_page(entry)
-                and current.media
-            )
-            if current is None or gap_break or page_break:
-                if current is not None:
-                    sessions.append(current)
-                current = ReconstructedSession()
-            if self._is_media(entry):
-                current.media.append(entry)
-            else:
-                current.signalling.append(entry)
-            last_time = entry.arrival_s
-
-        if current is not None:
-            sessions.append(current)
-
-        # Drop page visits that never played media.
-        kept = [s for s in sessions if len(s.media) >= self.min_media_chunks]
         mode = "sni" if self.use_sni else "ech"
         _SESSIONS_RECONSTRUCTED.labels(mode=mode).inc(len(kept))
-        _SESSIONS_DISCARDED.labels(mode=mode).inc(len(sessions) - len(kept))
-        _CHUNKS_RECONSTRUCTED.labels(mode=mode).inc(
-            sum(s.chunk_count for s in kept)
-        )
+        _SESSIONS_DISCARDED.labels(mode=mode).inc(state.discarded)
+        _CHUNKS_RECONSTRUCTED.labels(mode=mode).inc(chunks)
         return kept

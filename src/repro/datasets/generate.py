@@ -268,15 +268,10 @@ def generate_corpus(config: CorpusConfig, engine: Optional[str] = None) -> Corpu
     weblogs.sort(key=lambda e: e.timestamp_s)
 
     if config.encrypted:
-        reconstructor = SessionReconstructor()
-        by_subscriber: Dict[str, List[WeblogEntry]] = {}
-        for entry in weblogs:
-            by_subscriber.setdefault(entry.subscriber_id, []).append(entry)
-        reconstructed = []
-        for entries in by_subscriber.values():
-            reconstructed.extend(reconstructor.reconstruct(entries))
         records = records_from_reconstruction(
-            reconstructed, summaries, segment_records
+            SessionReconstructor().reconstruct(weblogs),
+            summaries,
+            segment_records,
         )
     else:
         records = group_cleartext_sessions(weblogs)

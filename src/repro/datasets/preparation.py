@@ -42,7 +42,8 @@ def remove_proxy_artifacts(entries: Iterable[WeblogEntry]) -> List[WeblogEntry]:
     return [e for e in entries if not (e.cached or e.compressed)]
 
 
-def _arrays_from_entries(entries: Sequence[WeblogEntry]) -> Dict[str, np.ndarray]:
+def media_arrays(entries: Sequence[WeblogEntry]) -> Dict[str, np.ndarray]:
+    """The per-chunk :class:`SessionRecord` arrays of media entries."""
     return {
         "timestamps": np.array([e.arrival_s for e in entries]),
         "sizes": np.array([float(e.object_bytes) for e in entries]),
@@ -86,7 +87,7 @@ def group_cleartext_sessions(
             continue
         pairs.sort(key=lambda p: p[0].arrival_s)
         media_entries = [p[0] for p in pairs]
-        arrays = _arrays_from_entries(media_entries)
+        arrays = media_arrays(media_entries)
 
         video_pairs = [p for p in pairs if p[1].kind == "video"]
         resolutions = np.array([p[1].resolution_p for p in video_pairs])
@@ -202,7 +203,7 @@ def records_from_reconstruction(
     records: List[SessionRecord] = []
     used: set = set()
     for rs in reconstructed:
-        arrays = _arrays_from_entries(sorted(rs.media, key=lambda e: e.arrival_s))
+        arrays = media_arrays(sorted(rs.media, key=lambda e: e.arrival_s))
         first_media_ts = min(e.timestamp_s for e in rs.media)
 
         best_id: Optional[str] = None

@@ -1,11 +1,10 @@
 """Real-time monitoring: online session tracking and live QoE diagnosis."""
 
 from .monitor import Alarm, RealTimeMonitor, SubscriberHealth
-from .tracker import OnlineSessionTracker, OpenSession
+from .tracker import OnlineSessionTracker
 
 __all__ = [
     "OnlineSessionTracker",
-    "OpenSession",
     "RealTimeMonitor",
     "SubscriberHealth",
     "Alarm",

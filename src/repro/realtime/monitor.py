@@ -299,13 +299,13 @@ class RealTimeMonitor:
         """
         closed = self.tracker.observe(entry)
         if self.early is not None:
-            session = self.tracker._open.get(entry.subscriber_id)
-            if session is not None and session.stream is not None:
+            stream = self.tracker.open_stream(entry.subscriber_id)
+            if stream is not None:
                 # Follow model hot-reloads: the serving layer reassigns
                 # self.framework per batch.
                 self.early.framework = self.framework
                 provisional = self.early.observe(
-                    session.stream,
+                    stream,
                     self.tracker.provisional_session_id(entry.subscriber_id),
                     entry.subscriber_id,
                 )

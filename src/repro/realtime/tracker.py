@@ -2,30 +2,30 @@
 
 The paper's deployment story (§8): "The trained models can be then
 directly applied on the passively monitored traffic and report issues
-in real time."  The offline reconstruction of §5.2 needs the whole
-trace; this module is its *online* counterpart: weblog entries are fed
-one at a time (in timestamp order per subscriber), open sessions are
-maintained incrementally, and a :class:`~repro.datasets.schema.SessionRecord`
-is emitted the moment a session closes (idle gap or new watch page).
+in real time."  The §5.2 grouping itself is
+:class:`~repro.capture.reconstruction.SessionReconstructor`, fed one
+entry at a time; this module adds what serving needs on top: stable
+per-subscriber session ids, :class:`~repro.datasets.schema.SessionRecord`
+output the moment a session closes, its metrics, and the streaming
+feature state for early prediction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from repro.capture.reconstruction import is_youtube_host
+from repro.capture.reconstruction import (
+    ReconstructedSession,
+    SessionReconstructor,
+)
 from repro.capture.weblog import WeblogEntry
+from repro.datasets.preparation import media_arrays
 from repro.datasets.schema import SessionRecord
 from repro.obs import get_registry
-from repro.online.running import EXACT_CUTOVER
 from repro.online.snapshot import StreamingSessionState
 
-__all__ = ["OpenSession", "OnlineSessionTracker"]
-
-_PAGE_HOSTS = ("m.youtube.com", "www.youtube.com")
+__all__ = ["OnlineSessionTracker"]
 
 _REG = get_registry()
 _OPEN_SESSIONS = _REG.gauge(
@@ -46,78 +46,15 @@ _ENTRIES_TRACKED = _REG.counter(
 )
 
 
-@dataclass
-class OpenSession:
-    """A session still accumulating entries."""
-
-    subscriber_id: str
-    media: List[WeblogEntry] = field(default_factory=list)
-    signalling: List[WeblogEntry] = field(default_factory=list)
-    #: Latest arrival time seen so far, maintained incrementally by
-    #: :meth:`add` — recomputing it by scanning ``media + signalling``
-    #: on every observe() made a live stream O(n^2) per session.
-    last_activity_s: float = 0.0
-    #: Latest *request timestamp* seen so far.  This — not the arrival
-    #: watermark above — is the idle-gap timebase: entries are fed in
-    #: request-timestamp order, so comparing the next entry's timestamp
-    #: against the previous entry's arrival (timestamp + transaction)
-    #: made long transactions produce negative gaps that kept sessions
-    #: open past the configured idle gap.
-    last_request_s: float = 0.0
-    #: Incremental feature state for early prediction; None unless the
-    #: owning tracker was built with ``streaming=True``.
-    stream: Optional[StreamingSessionState] = None
-
-    def add(self, entry: WeblogEntry) -> None:
-        """Append one entry and update the activity watermark."""
-        if entry.server_name.lower().endswith(".googlevideo.com"):
-            self.media.append(entry)
-            if self.stream is not None:
-                self.stream.add_entry(entry)
-        else:
-            self.signalling.append(entry)
-        if entry.arrival_s > self.last_activity_s:
-            self.last_activity_s = entry.arrival_s
-        if entry.timestamp_s > self.last_request_s:
-            self.last_request_s = entry.timestamp_s
-
-    def to_record(self, sequence: int) -> Optional[SessionRecord]:
-        """Freeze into a SessionRecord (None if no media was seen)."""
-        if not self.media:
-            return None
-        media = sorted(self.media, key=lambda e: e.arrival_s)
-        return SessionRecord(
-            session_id=f"{self.subscriber_id}/online-{sequence}",
-            encrypted=True,
-            timestamps=np.array([e.arrival_s for e in media]),
-            sizes=np.array([float(e.object_bytes) for e in media]),
-            transactions=np.array([e.transaction_s for e in media]),
-            rtt_min=np.array([e.rtt_min_ms for e in media]),
-            rtt_avg=np.array([e.rtt_avg_ms for e in media]),
-            rtt_max=np.array([e.rtt_max_ms for e in media]),
-            bdp=np.array([e.bdp_bytes for e in media]),
-            bif_avg=np.array([e.bif_avg_bytes for e in media]),
-            bif_max=np.array([e.bif_max_bytes for e in media]),
-            loss_pct=np.array([e.loss_pct for e in media]),
-            retx_pct=np.array([e.retx_pct for e in media]),
-        )
-
-
 class OnlineSessionTracker:
-    """Incremental version of the §5.2 reconstruction heuristic.
+    """The §5.2 reconstruction heuristic over a live stream.
 
     Feed entries with :meth:`observe`; closed sessions are returned as
     records.  Call :meth:`flush` (e.g. at end of capture, or on a
     timer) to close sessions that have been idle longer than the gap.
-
-    The idle gap is measured on the *request-timestamp* timebase
-    (``entry.timestamp_s``), which is the order entries are fed in: a
-    session closes when the next request starts more than
-    ``idle_gap_s`` after the previous request started.  (The offline
-    :class:`~repro.capture.reconstruction.SessionReconstructor` keeps
-    its historical mixed timestamp/arrival comparison; online the
-    mixed timebase let one long transaction push the watermark past
-    the next request and hold sessions open indefinitely.)
+    Grouping is one :class:`~repro.capture.reconstruction.SessionReconstructor`
+    in SNI mode, so a stream fed in timestamp order closes exactly the
+    sessions offline reconstruction of the same capture finds.
 
     Parameters
     ----------
@@ -130,9 +67,6 @@ class OnlineSessionTracker:
         Maintain a :class:`~repro.online.snapshot.StreamingSessionState`
         per open session (updated in O(1) per entry) for early
         prediction.
-    exact_cutover:
-        Chunk-buffer size for those streaming states (see
-        :mod:`repro.online.running`).
     """
 
     def __init__(
@@ -140,17 +74,11 @@ class OnlineSessionTracker:
         idle_gap_s: float = 30.0,
         min_media_chunks: int = 3,
         streaming: bool = False,
-        exact_cutover: int = EXACT_CUTOVER,
     ):
-        if idle_gap_s <= 0:
-            raise ValueError("idle gap must be positive")
-        if min_media_chunks < 1:
-            raise ValueError("min_media_chunks must be >= 1")
-        self.idle_gap_s = idle_gap_s
-        self.min_media_chunks = min_media_chunks
+        self._core = SessionReconstructor(idle_gap_s, min_media_chunks)
         self.streaming = streaming
-        self.exact_cutover = exact_cutover
-        self._open: Dict[str, OpenSession] = {}
+        #: Streaming state of each open session that has one.
+        self._streams: Dict[str, StreamingSessionState] = {}
         #: Emitted-session count per subscriber.  Session ids are built
         #: from *this* counter (not a tracker-global one) so an id is a
         #: pure function of the subscriber's own entry stream: a trace
@@ -161,57 +89,62 @@ class OnlineSessionTracker:
     @property
     def open_sessions(self) -> int:
         """Number of subscribers with a session currently open."""
-        return len(self._open)
+        return self._core.open_sessions
 
-    def _close(self, subscriber_id: str) -> Optional[SessionRecord]:
-        session = self._open.pop(subscriber_id, None)
-        _OPEN_SESSIONS.set(len(self._open))
-        if session is None:
-            return None
-        if len(session.media) < self.min_media_chunks:
-            _SESSIONS_DISCARDED.inc()
-            return None
-        sequence = self._sequence.get(subscriber_id, 0) + 1
-        self._sequence[subscriber_id] = sequence
-        _SESSIONS_CLOSED.inc()
-        return session.to_record(sequence)
+    def open_stream(
+        self, subscriber_id: str
+    ) -> Optional[StreamingSessionState]:
+        """Streaming state of the subscriber's open session, if any.
+
+        None when no session is open, or when it opened before
+        ``streaming`` was switched on.
+        """
+        return self._streams.get(subscriber_id)
+
+    def _emit(
+        self, sessions: List[ReconstructedSession], discarded: int
+    ) -> List[SessionRecord]:
+        if discarded:
+            _SESSIONS_DISCARDED.inc(discarded)
+        if not sessions:
+            return []
+        _SESSIONS_CLOSED.inc(len(sessions))
+        records = []
+        for session in sessions:
+            subscriber = session.subscriber_id
+            sequence = self._sequence.get(subscriber, 0) + 1
+            self._sequence[subscriber] = sequence
+            media = sorted(session.media, key=attrgetter("arrival_s"))
+            records.append(
+                SessionRecord(
+                    session_id=f"{subscriber}/online-{sequence}",
+                    encrypted=True,
+                    **media_arrays(media),
+                )
+            )
+        return records
 
     def observe(self, entry: WeblogEntry) -> List[SessionRecord]:
         """Feed one weblog entry; returns any sessions this closes."""
-        if not is_youtube_host(entry.server_name):
-            return []
+        core = self._core
+        entries, discarded = core.entries, core.discarded
+        closed = core.observe(entry)
+        if core.entries == entries:
+            return []    # not service traffic
         _ENTRIES_TRACKED.inc()
-        closed: List[SessionRecord] = []
         subscriber = entry.subscriber_id
-        current = self._open.get(subscriber)
-
-        if current is not None:
-            gap_break = (
-                entry.timestamp_s - current.last_request_s > self.idle_gap_s
-            )
-            page_break = (
-                entry.server_name.lower() in _PAGE_HOSTS and current.media
-            )
-            if gap_break or page_break:
-                record = self._close(subscriber)
-                if record is not None:
-                    closed.append(record)
-                current = None
-
-        if current is None:
-            current = OpenSession(
-                subscriber_id=subscriber,
-                stream=(
-                    StreamingSessionState(exact_cutover=self.exact_cutover)
-                    if self.streaming
-                    else None
-                ),
-            )
-            self._open[subscriber] = current
-            _OPEN_SESSIONS.set(len(self._open))
-
-        current.add(entry)
-        return closed
+        session = core.open_session(subscriber)
+        if len(session.media) + len(session.signalling) == 1:
+            # This entry opened the session.
+            _OPEN_SESSIONS.set(core.open_sessions)
+            if self.streaming:
+                self._streams[subscriber] = StreamingSessionState()
+        stream = self._streams.get(subscriber)
+        if stream is not None and session.media and session.media[-1] is entry:
+            stream.add_entry(entry)
+        if closed or core.discarded != discarded:
+            return self._emit(closed, core.discarded - discarded)
+        return []
 
     def provisional_session_id(self, subscriber_id: str) -> str:
         """The id the subscriber's open session will get if emitted.
@@ -232,11 +165,11 @@ class OnlineSessionTracker:
         ``now_s`` is compared on the request-timestamp timebase, like
         the in-stream idle gap.
         """
-        closed: List[SessionRecord] = []
-        for subscriber in list(self._open):
-            session = self._open[subscriber]
-            if now_s is None or now_s - session.last_request_s > self.idle_gap_s:
-                record = self._close(subscriber)
-                if record is not None:
-                    closed.append(record)
-        return closed
+        core = self._core
+        discarded = core.discarded
+        closed = core.flush(now_s)
+        for subscriber in list(self._streams):
+            if core.open_session(subscriber) is None:
+                del self._streams[subscriber]
+        _OPEN_SESSIONS.set(core.open_sessions)
+        return self._emit(closed, core.discarded - discarded)

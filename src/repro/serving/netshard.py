@@ -1346,8 +1346,13 @@ class SocketShardWorker:
         gap, no regressed per-subscriber timestamp.
         """
         self._close_stream()
-        if self._process is not None and not self._process.is_alive():
-            return False  # the worker is gone, not the network
+        # A worker that said "dying" or whose process or in-process
+        # thread has ended is gone, not the network.
+        worker = self._process or self._worker_thread
+        if self._death_report is not None or (
+            worker and not worker.is_alive()
+        ):
+            return False
         _LOG.warning(
             "netshard_reconnecting", shard=self.index, cause=repr(cause)
         )

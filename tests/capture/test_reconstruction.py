@@ -28,6 +28,23 @@ def _noise(timestamp, host="www.facebook.com"):
     )
 
 
+def _media(timestamp, transaction_s=1.0, subscriber="s"):
+    host = "r1---sn-abc.googlevideo.com"
+    return WeblogEntry(
+        subscriber_id=subscriber,
+        timestamp_s=timestamp,
+        server_name=host,
+        server_ip=server_ip_for(host),
+        server_port=443,
+        object_bytes=500_000,
+        transaction_s=transaction_s,
+        rtt_min_ms=1, rtt_avg_ms=2, rtt_max_ms=3,
+        bdp_bytes=0, bif_avg_bytes=0, bif_max_bytes=0,
+        loss_pct=0, retx_pct=0,
+        encrypted=True,
+    )
+
+
 class TestIsYoutubeHost:
     def test_media_hosts(self):
         assert is_youtube_host("r3---sn-x.googlevideo.com")
@@ -107,6 +124,61 @@ class TestReconstruction:
 
     def test_empty_input(self):
         assert SessionReconstructor().reconstruct([]) == []
+
+    def test_long_transaction_does_not_hold_session_open(self):
+        """The idle gap runs on request timestamps: a 500 s transfer
+        started at t=0 does not bridge the 60 s silence before the next
+        request (on the old arrival clock the gap read 60 - 500 < 0)."""
+        first = _media(0.0, transaction_s=500.0)
+        second = _media(60.0)
+        sessions = SessionReconstructor(min_media_chunks=1).reconstruct(
+            [first, second]
+        )
+        assert len(sessions) == 2
+        assert [s.media for s in sessions] == [[first], [second]]
+
+    def test_sessions_grouped_per_subscriber(self):
+        """Subscribers never share a session; output is grouped by
+        subscriber in first-entry order, time order within."""
+        entries = [
+            _media(0.0, subscriber="b"),
+            _media(1.0, subscriber="a"),
+            _media(2.0, subscriber="b"),
+            _media(100.0, subscriber="b"),
+            _media(3.0, subscriber="a"),
+        ]
+        sessions = SessionReconstructor(min_media_chunks=1).reconstruct(
+            entries
+        )
+        assert [(s.subscriber_id, s.chunk_count) for s in sessions] == [
+            ("b", 2),
+            ("b", 1),
+            ("a", 2),
+        ]
+
+
+class TestIncrementalGrouping:
+    def test_observe_returns_session_it_closes(self):
+        reconstructor = SessionReconstructor(min_media_chunks=1)
+        assert reconstructor.observe(_media(0.0)) == []
+        assert reconstructor.observe(_noise(50.0)) == []   # foreign: ignored
+        (closed,) = reconstructor.observe(_media(60.0))
+        assert closed.chunk_count == 1 and closed.subscriber_id == "s"
+        assert reconstructor.open_sessions == 1
+
+    def test_flush_closes_idle_then_all(self):
+        reconstructor = SessionReconstructor(min_media_chunks=1)
+        reconstructor.observe(_media(0.0, subscriber="a"))
+        reconstructor.observe(_media(50.0, subscriber="b"))
+        assert [s.subscriber_id for s in reconstructor.flush(now_s=60.0)] == ["a"]
+        assert [s.subscriber_id for s in reconstructor.flush()] == ["b"]
+        assert reconstructor.open_sessions == 0
+
+    def test_discards_counted(self):
+        reconstructor = SessionReconstructor(min_media_chunks=2)
+        reconstructor.observe(_media(0.0))
+        assert reconstructor.flush() == []
+        assert reconstructor.discarded == 1
 
 
 class TestEchModeReconstruction:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.capture.proxy import WebProxy
 from repro.realtime.tracker import OnlineSessionTracker
@@ -52,32 +54,6 @@ class TestOnlineSessionTracker:
         closed.extend(tracker.flush())
         assert len(closed) == 2
 
-    def test_online_matches_offline_reconstruction(
-        self, one_adaptive_session, one_progressive_session
-    ):
-        """The incremental tracker groups exactly like the batch one."""
-        from repro.capture.reconstruction import SessionReconstructor
-
-        stream = _entries(one_adaptive_session, 0.0)
-        stream += _entries(
-            one_progressive_session,
-            one_adaptive_session.total_duration_s + 200.0,
-            seed=1,
-        )
-        stream.sort(key=lambda e: e.timestamp_s)
-
-        offline = SessionReconstructor().reconstruct(stream)
-
-        tracker = OnlineSessionTracker()
-        online = []
-        for entry in stream:
-            online.extend(tracker.observe(entry))
-        online.extend(tracker.flush())
-
-        assert sorted(s.chunk_count for s in offline) == sorted(
-            r.n_chunks for r in online
-        )
-
     def test_per_subscriber_isolation(self, one_adaptive_session):
         tracker = OnlineSessionTracker()
         a = _entries(one_adaptive_session, 0.0, subscriber="sub-a")
@@ -97,36 +73,18 @@ class TestOnlineSessionTracker:
         assert tracker.flush(now_s=last + 5.0) == []       # still fresh
         assert len(tracker.flush(now_s=last + 500.0)) == 1  # now idle
 
-    def test_last_activity_maintained_incrementally(self, one_adaptive_session):
-        """The watermark must match a full rescan after every entry
-        (it used to be recomputed by concatenating media + signalling —
-        O(n^2) over a live stream)."""
-        tracker = OnlineSessionTracker()
-        for entry in _entries(one_adaptive_session, 0.0):
-            tracker.observe(entry)
-            session = tracker._open[entry.subscriber_id]
-            expected = max(
-                e.arrival_s for e in session.media + session.signalling
-            )
-            assert session.last_activity_s == expected
-
-    def test_out_of_order_arrivals_keep_watermark(self, one_adaptive_session):
-        """An entry arriving with an older arrival_s must not move the
-        watermark backwards."""
-        from repro.realtime.tracker import OpenSession
-
-        entries = _entries(one_adaptive_session, 0.0)[:3]
-        session = OpenSession(subscriber_id="sub-a")
-        for entry in entries:
-            session.add(entry)
-        high = session.last_activity_s
-        stale = type(entries[0])(
-            **{**entries[0].__dict__,
-               "timestamp_s": entries[0].timestamp_s - 100.0}
-        )
-        assert stale.arrival_s < high
-        session.add(stale)
-        assert session.last_activity_s == high
+    def test_out_of_order_arrivals_keep_watermark(self):
+        """An older request joins the open session without moving its
+        idle-gap clock back: the gap still runs from the latest
+        request seen."""
+        tracker = OnlineSessionTracker(idle_gap_s=30.0, min_media_chunks=1)
+        tracker.observe(_media_entry(100.0))
+        assert tracker.observe(_media_entry(50.0)) == []   # stale, joins
+        # 120 is 70 s after the stale request but only 20 s after the
+        # latest one: the session stays open.
+        assert tracker.observe(_media_entry(120.0)) == []
+        (record,) = tracker.observe(_media_entry(151.0))
+        assert record.n_chunks == 3
 
     def test_short_fragments_discarded(self, one_adaptive_session):
         tracker = OnlineSessionTracker(min_media_chunks=10_000)
@@ -195,15 +153,25 @@ class TestStreamingState:
         tracker = OnlineSessionTracker()
         for entry in _entries(one_adaptive_session, 0.0)[:5]:
             tracker.observe(entry)
-        assert tracker._open["sub-a"].stream is None
+        assert tracker.open_stream("sub-a") is None
+        assert tracker.open_sessions == 1
 
     def test_stream_counts_media_only(self, one_adaptive_session):
         tracker = OnlineSessionTracker(streaming=True)
+        entries = _entries(one_adaptive_session, 0.0)
+        for entry in entries:
+            tracker.observe(entry)
+        stream = tracker.open_stream("sub-a")
+        assert stream is not None
+        media = [e for e in entries if e.server_name.endswith(".googlevideo.com")]
+        assert 0 < stream.n_chunks == len(media) < len(entries)
+
+    def test_stream_dropped_when_session_closes(self, one_adaptive_session):
+        tracker = OnlineSessionTracker(streaming=True)
         for entry in _entries(one_adaptive_session, 0.0):
             tracker.observe(entry)
-        session = tracker._open["sub-a"]
-        assert session.stream is not None
-        assert session.stream.n_chunks == len(session.media)
+        tracker.flush()
+        assert tracker.open_stream("sub-a") is None
 
     def test_provisional_id_matches_emitted_id(self, one_adaptive_session):
         tracker = OnlineSessionTracker(streaming=True)
@@ -214,3 +182,178 @@ class TestStreamingState:
         (record,) = tracker.flush()
         assert record.session_id == "sub-a/online-1"
         assert tracker.provisional_session_id("sub-a") == "sub-a/online-2"
+
+
+# ----------------------------------------------------------------------
+# One §5.2 core: offline reconstruction == online tracker == the rule
+# ----------------------------------------------------------------------
+
+_HOSTS = (
+    "r1---sn-abc.googlevideo.com",   # media
+    "r7---sn-xyz.googlevideo.com",   # media
+    "m.youtube.com",                 # watch page
+    "www.youtube.com",               # watch page
+    "i.ytimg.com",                   # signalling
+    "youtube.com",                   # signalling (bare service name)
+    "www.facebook.com",              # foreign
+    "cdn.other.example",             # foreign
+)
+
+
+@st.composite
+def _traces(draw):
+    """Interleaved multi-subscriber traces with long transactions,
+    page hosts, foreign hosts and duplicate entries."""
+    from repro.capture.proxy import server_ip_for
+    from repro.capture.weblog import WeblogEntry
+
+    n = draw(st.integers(0, 60))
+    entries = []
+    for _ in range(n):
+        host = draw(st.sampled_from(_HOSTS))
+        entries.append(
+            WeblogEntry(
+                subscriber_id=draw(st.sampled_from(("s1", "s2", "s3"))),
+                # Integer-valued seconds make timestamp ties common.
+                timestamp_s=float(draw(st.integers(0, 400))),
+                server_name=host,
+                server_ip=server_ip_for(host),
+                server_port=443,
+                object_bytes=draw(
+                    st.sampled_from((900, 40_000, 150_000, 150_001, 900_000))
+                ),
+                transaction_s=draw(st.sampled_from((0.2, 4.0, 45.0, 500.0))),
+                rtt_min_ms=20.0,
+                rtt_avg_ms=30.0,
+                rtt_max_ms=50.0,
+                bdp_bytes=60_000.0,
+                bif_avg_bytes=30_000.0,
+                bif_max_bytes=80_000.0,
+                loss_pct=0.1,
+                retx_pct=0.2,
+                encrypted=True,
+            )
+        )
+    for index in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=6)):
+        if entries:
+            entries.insert(draw(st.integers(0, len(entries))), entries[index])
+    return entries
+
+
+def _reference(entries, use_sni, idle_gap_s, min_media_chunks):
+    """The 3-step rule, written out: {subscriber: [media lists]}."""
+    if use_sni:
+        def service(e):
+            return e.server_name.endswith(
+                (".youtube.com", ".googlevideo.com", ".ytimg.com")
+            ) or e.server_name in ("youtube.com", "googlevideo.com", "ytimg.com")
+
+        def media(e):
+            return e.server_name.endswith(".googlevideo.com")
+
+        def page(e):
+            return e.server_name in ("m.youtube.com", "www.youtube.com")
+    else:
+        def service(e):
+            return e.server_ip.startswith("173.194.")
+
+        def media(e):
+            return e.object_bytes > 150_000
+
+        def page(e):
+            return False
+
+    streams = {}
+    for e in entries:
+        streams.setdefault(e.subscriber_id, [])
+    for e in sorted(filter(service, entries), key=lambda e: e.timestamp_s):
+        streams[e.subscriber_id].append(e)
+    out = {}
+    for subscriber, stream in streams.items():
+        groups = []
+        for i, e in enumerate(stream):
+            if (
+                not groups
+                or e.timestamp_s - stream[i - 1].timestamp_s > idle_gap_s
+                or (page(e) and any(media(x) for x in groups[-1]))
+            ):
+                groups.append([])
+            groups[-1].append(e)
+        out[subscriber] = [
+            [x for x in g if media(x)]
+            for g in groups
+            if sum(map(media, g)) >= min_media_chunks
+        ]
+    return out
+
+
+def _media_key(media):
+    from repro.datasets.preparation import media_arrays
+
+    arrays = media_arrays(sorted(media, key=lambda e: e.arrival_s))
+    return tuple((name, tuple(values)) for name, values in arrays.items())
+
+
+def _record_key(record):
+    return tuple(
+        (name, tuple(getattr(record, name)))
+        for name in (
+            "timestamps", "sizes", "transactions", "rtt_min", "rtt_avg",
+            "rtt_max", "bdp", "bif_avg", "bif_max", "loss_pct", "retx_pct",
+        )
+    )
+
+
+class TestOfflineOnlineEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=_traces(),
+        use_sni=st.booleans(),
+        idle_gap_s=st.sampled_from((5.0, 30.0, 120.0)),
+        min_media_chunks=st.integers(1, 3),
+    )
+    def test_reconstruct_equals_tracker_and_reference(
+        self, entries, use_sni, idle_gap_s, min_media_chunks
+    ):
+        from repro.capture.reconstruction import SessionReconstructor
+
+        offline = SessionReconstructor(
+            idle_gap_s, min_media_chunks, use_sni=use_sni
+        ).reconstruct(entries)
+        reference = _reference(entries, use_sni, idle_gap_s, min_media_chunks)
+
+        # Grouped by subscriber in first-entry order, time order within.
+        assert [s.subscriber_id for s in offline] == [
+            subscriber
+            for subscriber, groups in reference.items()
+            for _ in groups
+        ]
+        by_subscriber = {}
+        for session in offline:
+            by_subscriber.setdefault(session.subscriber_id, []).append(
+                _media_key(session.media)
+            )
+        expected = {
+            subscriber: [_media_key(g) for g in groups]
+            for subscriber, groups in reference.items()
+            if groups
+        }
+        assert by_subscriber == expected
+
+        if not use_sni:
+            return          # the tracker runs the SNI rule only
+        tracker = OnlineSessionTracker(idle_gap_s, min_media_chunks)
+        records = []
+        for entry in sorted(entries, key=lambda e: e.timestamp_s):
+            records.extend(tracker.observe(entry))
+        records.extend(tracker.flush())
+        online = {}
+        for record in records:
+            subscriber, sequence = record.session_id.rsplit("/online-", 1)
+            online.setdefault(subscriber, []).append(
+                (int(sequence), _record_key(record))
+            )
+        assert {
+            subscriber: [key for _, key in sorted(keyed)]
+            for subscriber, keyed in online.items()
+        } == expected

@@ -24,6 +24,7 @@ from repro.obs import get_registry
 from repro.realtime.monitor import RealTimeMonitor
 from repro.realtime.tracker import OnlineSessionTracker
 from repro.serving import QoEService, run_worker
+from repro.serving.netshard import SocketOpts
 from repro.serving.replay import synthetic_trace
 from repro.serving.shard import shard_index
 
@@ -200,6 +201,51 @@ class TestSpawnedPlacement:
         assert affected
         assert len(affected) < 20
 
+        reference = RealTimeMonitor(
+            serving_framework, tracker=OnlineSessionTracker()
+        )
+        reference.feed_many(trace)
+        reference.drain()
+        untouched_serial = _filtered(reference.diagnoses, affected)
+        assert untouched_serial
+        assert _filtered(service.diagnoses, affected) == untouched_serial
+
+
+class TestInprocRestart:
+    def test_killed_inproc_worker_restarts_without_redialling(
+        self, serving_framework
+    ):
+        """A finished in-process worker thread is a dead worker, not a
+        network fault: the supervisor restarts it at once instead of
+        redialling its closed port until the connect deadline."""
+        trace = synthetic_trace(40, seed=17, subscribers=20)
+        victim = shard_index(trace[0].subscriber_id, 2)
+        faults = FaultInjector(
+            FaultPlan(seed=23, kill_shard=victim, kill_at_entry=25, kill_times=1)
+        )
+        service = QoEService(
+            serving_framework,
+            n_shards=2,
+            shard_backend="socket",
+            placement="inproc:2",
+            faults=faults,
+        )
+        started = time.monotonic()
+        with service:
+            service.submit_many(trace)
+        elapsed = time.monotonic() - started
+        health = service.health()
+
+        assert faults.kills_fired == 1
+        assert health["shards"][victim]["restarts"] >= 1
+        deadline = SocketOpts().connect_deadline_s
+        assert elapsed < deadline / 4, (
+            f"kill -> restart -> drain took {elapsed:.2f}s "
+            f"(connect deadline {deadline:.1f}s)"
+        )
+
+        affected = faults.affected_subscribers
+        assert affected and len(affected) < 20
         reference = RealTimeMonitor(
             serving_framework, tracker=OnlineSessionTracker()
         )
