@@ -21,8 +21,9 @@ import pytest
 from repro.core.features import (
     build_representation_matrix,
     build_stall_matrix,
+    get_model_spec,
 )
-from repro.core.featurex import configure_cache, get_cache
+from repro.core.featurex import configure_cache, get_cache, reference_rows
 from repro.datasets.schema import SessionRecord
 
 from conftest import paper_row
@@ -80,21 +81,16 @@ def test_columnar_speedup_and_equality(benchmark):
     records = _synthetic_records()
 
     reference_start = time.perf_counter()
-    reference, _ = build_representation_matrix(
-        records, engine="per-record", cache=False
-    )
+    reference = reference_rows(records, get_model_spec("representation"))
     reference_s = time.perf_counter() - reference_start
 
     columnar_s = benchmark.pedantic(
         _build_seconds,
         args=(records,),
-        kwargs=dict(engine="columnar"),
         rounds=1,
         iterations=1,
     )
-    columnar, _ = build_representation_matrix(
-        records, engine="columnar", cache=False
-    )
+    columnar, _ = build_representation_matrix(records, cache=False)
     assert np.array_equal(columnar, reference)
 
     speedup = reference_s / columnar_s
@@ -111,10 +107,10 @@ def test_columnar_speedup_and_equality(benchmark):
 
 
 def test_stall_matrix_engines_bit_identical():
-    """The 70-column model at benchmark scale, both engines."""
+    """The 70-column model at benchmark scale, engine vs reference."""
     records = _synthetic_records(seed=1)
-    columnar, _ = build_stall_matrix(records, engine="columnar", cache=False)
-    reference, _ = build_stall_matrix(records, engine="per-record", cache=False)
+    columnar, _ = build_stall_matrix(records, cache=False)
+    reference = reference_rows(records, get_model_spec("stall"))
     assert np.array_equal(columnar, reference)
 
 

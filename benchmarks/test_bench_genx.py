@@ -4,7 +4,9 @@ Acceptance shape: on 2k planned sessions the vectorized engine
 (``repro.datasets.genx.vector``) must simulate the corpus at least 2x
 faster than the per-session oracle — and bit-identically (every chunk,
 transfer annotation, stall and session field compared exactly, no
-tolerances).  Vectorizing the transport rounds while keeping the
+tolerances).  Only the simulation step of ``generate_corpus`` and of
+``reference_corpus`` differs (both share one capture-and-prepare tail),
+so the benchmark times and compares that step of each.  Vectorizing the transport rounds while keeping the
 players' control flow per-session in Python yields ~3x on a quiet
 host; the gate is set at 2x so scheduler noise cannot flake it.
 

@@ -8,12 +8,8 @@ Commands
     ``--jobs N`` fans forest fitting, CV folds, and large
     feature builds out over N worker processes (results are identical
     for any N; see docs/ARCHITECTURE.md "Parallel execution").
-    ``--feature-engine`` selects the columnar batch engine (default)
-    or the per-record reference path; ``--corpus-engine`` does the
-    same for corpus generation (see docs/ARCHITECTURE.md "Corpus
-    engine"); ``--feature-cache DIR`` enables
-    the on-disk feature-matrix cache (see docs/ARCHITECTURE.md
-    "Feature engine").  ``--metrics-out PATH``
+    ``--feature-cache DIR`` enables the on-disk feature-matrix cache
+    (see docs/ARCHITECTURE.md "Feature engine").  ``--metrics-out PATH``
     drops a JSON telemetry snapshot (metrics + span trees) next to the
     results; ``--metrics-port N`` additionally serves the live
     Prometheus exposition over HTTP for the duration of the run;
@@ -108,12 +104,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         config = dataclasses.replace(
             config, feature_cache_dir=args.feature_cache
         )
-    if args.feature_engine:
-        from repro.core.featurex import set_default_engine
-
-        set_default_engine(args.feature_engine)
-    if args.corpus_engine:
-        config = dataclasses.replace(config, corpus_engine=args.corpus_engine)
     with _maybe_metrics_server(args.metrics_port, log):
         with trace("repro.experiments") as root:
             if args.id:
@@ -515,24 +505,6 @@ def main(argv=None) -> int:
             "worker processes for forest fitting, CV folds, and "
             "feature builds (1 serial, -1 all cores; results identical "
             "for any value)"
-        ),
-    )
-    experiments.add_argument(
-        "--feature-engine",
-        default=None,
-        choices=["columnar", "per-record"],
-        help=(
-            "feature-matrix build engine (default: columnar; per-record "
-            "is the bit-identical reference path)"
-        ),
-    )
-    experiments.add_argument(
-        "--corpus-engine",
-        default=None,
-        choices=["vectorized", "per-session"],
-        help=(
-            "corpus generation engine (default: vectorized; per-session "
-            "is the bit-identical reference path)"
         ),
     )
     experiments.add_argument(

@@ -18,11 +18,11 @@ Feature names use the paper's vocabulary ("chunk size min", "BDP mean",
 "packet retransmissions max", "chunk Δsize max" …) so the experiment
 tables read like Tables 2 and 5.
 
-Two engines build the matrices (see :mod:`repro.core.featurex`): the
-default ``"columnar"`` batch engine, and the ``"per-record"`` path in
-this module, which stays as the bit-identical reference oracle and
-escape hatch.  ``engine``/``n_jobs``/``cache`` never change a value —
-only wall-clock.
+The columnar batch engine of :mod:`repro.core.featurex` builds the
+matrices.  The per-record extractors in this module are its reference:
+:func:`repro.core.featurex.engine.reference_rows` runs them one record
+at a time, and the engine must equal that bit for bit.
+``n_jobs``/``cache`` never change a value — only wall-clock.
 """
 
 from __future__ import annotations
@@ -227,43 +227,38 @@ def get_model_spec(model: str) -> ModelSpec:
 
 def build_stall_matrix(
     records: Sequence[SessionRecord],
-    engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
     columns: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_sessions, 70) stall feature matrix + column names.
 
-    ``engine`` selects the columnar batch engine (default) or the
-    per-record oracle; ``n_jobs`` fans large builds out in row chunks;
-    ``cache`` consults the content-addressed matrix cache.  All three
-    only change wall-clock, never a value.  ``columns`` builds only
-    those columns (``full[:, columns]``, with their names).
+    ``n_jobs`` fans large builds out in row chunks; ``cache`` consults
+    the content-addressed matrix cache.  Both only change wall-clock,
+    never a value.  ``columns`` builds only those columns
+    (``full[:, columns]``, with their names).
     """
     spec = _SPECS["stall"]
     matrix = _engine_build(
-        records, spec, engine=engine, n_jobs=n_jobs, cache=cache,
-        columns=columns,
+        records, spec, n_jobs=n_jobs, cache=cache, columns=columns,
     )
     return matrix, _names(spec, columns)
 
 
 def build_representation_matrix(
     records: Sequence[SessionRecord],
-    engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
     columns: Optional[Sequence[int]] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """(n_sessions, 210) representation feature matrix + column names.
 
-    See :func:`build_stall_matrix` for the ``engine``/``n_jobs``/
-    ``cache``/``columns`` knobs.
+    See :func:`build_stall_matrix` for the ``n_jobs``/``cache``/
+    ``columns`` knobs.
     """
     spec = _SPECS["representation"]
     matrix = _engine_build(
-        records, spec, engine=engine, n_jobs=n_jobs, cache=cache,
-        columns=columns,
+        records, spec, n_jobs=n_jobs, cache=cache, columns=columns,
     )
     return matrix, _names(spec, columns)
 

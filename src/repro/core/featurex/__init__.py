@@ -30,14 +30,17 @@ handful of large array passes:
     optional on-disk layer under the experiment workspace.
 ``engine``
     Orchestration: column plans (build only the columns a detector
-    selected), engine selection (``"columnar"`` / ``"per-record"``),
-    row-chunk fan-out through :mod:`repro.ml.parallel`, cache lookups,
-    and :mod:`repro.obs` instrumentation.
+    selected), row-chunk fan-out through :mod:`repro.ml.parallel`,
+    cache lookups, and :mod:`repro.obs` instrumentation.
+    :func:`~repro.core.featurex.engine.build_matrix` always runs the
+    columnar engine; :func:`~repro.core.featurex.engine.reference_rows`
+    is the per-record reference path.
 
 Equality guarantee
 ------------------
-The engine is **bit-identical** (``np.array_equal``) to the per-record
-reference path, which stays available as the oracle.  The guarantee
+The engine is **bit-identical** (``np.array_equal``) to
+:func:`~repro.core.featurex.engine.reference_rows`, which the tests
+call by name as the oracle.  The guarantee
 rests on these facts, enforced by the property suites in
 ``tests/core/test_featurex.py`` and ``tests/timeseries/test_stats.py``:
 
@@ -71,23 +74,18 @@ from .cache import (
     get_cache,
 )
 from .engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
     ColumnPlan,
     ModelSpec,
     build_matrix,
     column_plan,
     record_row,
-    get_default_engine,
-    set_default_engine,
+    reference_rows,
 )
 from .ragged import BASE_FIELDS, RaggedBatch, pack_records
 
 __all__ = [
     "BASE_FIELDS",
     "ColumnPlan",
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "FEATURE_SET_VERSION",
     "FeatureMatrixCache",
     "batch_key",
@@ -97,8 +95,7 @@ __all__ = [
     "column_plan",
     "configure_cache",
     "get_cache",
-    "get_default_engine",
     "pack_records",
     "record_row",
-    "set_default_engine",
+    "reference_rows",
 ]

@@ -174,9 +174,7 @@ class FeatureMatrixCache:
             _ENTRIES.set(0)
 
 
-_DEFAULT_CACHE = FeatureMatrixCache(
-    directory=os.environ.get("REPRO_FEATURE_CACHE") or None
-)
+_DEFAULT_CACHE = FeatureMatrixCache()
 
 
 def get_cache() -> FeatureMatrixCache:
@@ -187,7 +185,10 @@ def get_cache() -> FeatureMatrixCache:
 def configure_cache(
     directory: Optional[str] = None, capacity: Optional[int] = None
 ) -> FeatureMatrixCache:
-    """Re-point the default cache's disk layer / resize its LRU."""
+    """Re-point the default cache's disk layer / resize its LRU.
+
+    ``directory=None`` leaves the cache in-memory only.
+    """
     if capacity is not None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")

@@ -1,13 +1,10 @@
-"""Build orchestration: engine selection, fan-out, caching, telemetry.
+"""Build orchestration: column plans, fan-out, caching, telemetry.
 
 ``build_matrix`` is the single entry point behind
 ``repro.core.features.build_stall_matrix`` /
-``build_representation_matrix``.  It:
+``build_representation_matrix``.  It always runs the columnar engine,
+and:
 
-* resolves the engine (``"columnar"`` by default, ``"per-record"`` as
-  the reference oracle / escape hatch; overridable per call, via
-  :func:`set_default_engine`, or the ``REPRO_FEATURE_ENGINE``
-  environment variable),
 * builds only the columns a caller asks for (a fitted detector's
   selection): a :class:`ColumnPlan` names the metrics and statistics
   those columns read, and the full matrix is the plan over every
@@ -17,11 +14,15 @@
 * fans large builds out in row chunks through the
   :mod:`repro.ml.parallel` worker pool — every row is a pure function
   of its record, so the chunking never changes a value — and
-* exports build latency/throughput and per-engine build counts through
+* exports build latency/throughput and per-model build counts through
   :mod:`repro.obs`.
 
-Both engines produce bit-identical matrices; ``engine`` and ``n_jobs``
-only change wall-clock, never a value.
+:func:`reference_rows` is the per-record reference path: one record at
+a time through the model's ``record_series`` and
+:func:`~repro.timeseries.stats.summary_statistics`.  It is the
+specification the columnar engine is tested against bit for bit, and
+the path :func:`record_row` builds every online snapshot with.
+``n_jobs`` and ``cache`` only change wall-clock, never a value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
@@ -46,21 +46,14 @@ from .ragged import RaggedBatch, pack_records
 from .stats import padded_summary
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
     "ColumnPlan",
     "MetricRead",
     "ModelSpec",
     "build_matrix",
     "column_plan",
     "record_row",
-    "get_default_engine",
-    "set_default_engine",
+    "reference_rows",
 ]
-
-#: Recognised engines; "per-record" is the reference oracle.
-ENGINES: Tuple[str, ...] = ("columnar", "per-record")
-DEFAULT_ENGINE = "columnar"
 
 #: Below this many sessions a process pool costs more than it saves.
 _PARALLEL_MIN_ROWS = 256
@@ -85,26 +78,9 @@ _ROWS_PER_SECOND = _REG.gauge(
 )
 _BUILDS = _REG.counter(
     "repro_features_builds_total",
-    "Feature-matrix builds actually executed, by model and engine.",
-    labelnames=("model", "engine"),
+    "Feature-matrix builds actually executed, by model.",
+    labelnames=("model",),
 )
-
-_default_engine = os.environ.get("REPRO_FEATURE_ENGINE", DEFAULT_ENGINE)
-
-
-def get_default_engine() -> str:
-    """The engine used when ``build_matrix`` is called without one."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine (e.g. from the CLI)."""
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown feature engine {engine!r}; known: {', '.join(ENGINES)}"
-        )
-    _default_engine = engine
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,9 +223,17 @@ def _columnar_rows(batch: RaggedBatch, plan: ColumnPlan) -> np.ndarray:
     return out
 
 
-def _per_record_rows(
-    records: Sequence[SessionRecord], plan: ColumnPlan
+def reference_rows(
+    records: Sequence[SessionRecord],
+    spec: ModelSpec,
+    columns: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
+    """The per-record reference matrix of ``records`` (or its ``columns``).
+
+    One record at a time, no cache, fan-out or telemetry: the
+    specification :func:`build_matrix` equals bit for bit.
+    """
+    plan = column_plan(spec, columns)
     matrix = np.empty((len(records), plan.width), dtype=np.float64)
     for i, record in enumerate(records):
         series = plan.spec.record_series(record, plan.metrics)
@@ -257,17 +241,6 @@ def _per_record_rows(
             values = summary_statistics(series[read.metric], stats=read.stats)
             matrix[i, read.columns] = [values[s] for s in read.column_stats]
     return matrix
-
-
-def _build_rows(
-    records: Sequence[SessionRecord],
-    plan: ColumnPlan,
-    engine: str,
-    batch: Optional[RaggedBatch] = None,
-) -> np.ndarray:
-    if engine != "columnar":
-        return _per_record_rows(records, plan)
-    return _columnar_rows(batch or pack_records(records), plan)
 
 
 def record_row(
@@ -281,18 +254,18 @@ def record_row(
     (:mod:`repro.online.snapshot`) builds every partial vector,
     bit-identical to the row :func:`build_matrix` builds.
     """
-    return _per_record_rows([record], column_plan(spec, columns))[0]
+    return reference_rows([record], spec, columns)[0]
 
 
 def _block_task(payload) -> np.ndarray:
     """One row-chunk build; module-level so it pickles into the pool."""
-    model, engine, columns, records = payload
+    model, columns, records = payload
     # Lazy import: repro.core.features imports this module at load
     # time, so the spec registry is only reachable after import.
     from repro.core.features import get_model_spec
 
-    return _build_rows(
-        records, column_plan(get_model_spec(model), columns), engine
+    return _columnar_rows(
+        pack_records(records), column_plan(get_model_spec(model), columns)
     )
 
 
@@ -304,7 +277,6 @@ def _block_task(payload) -> np.ndarray:
 def build_matrix(
     records: Sequence[SessionRecord],
     spec: ModelSpec,
-    engine: Optional[str] = None,
     n_jobs: Optional[int] = None,
     cache: bool = True,
     columns: Optional[Sequence[int]] = None,
@@ -313,9 +285,6 @@ def build_matrix(
 
     Parameters
     ----------
-    engine:
-        ``"columnar"`` or ``"per-record"``; ``None`` uses the process
-        default.  Bit-identical output either way.
     n_jobs:
         Worker processes for row-chunk fan-out (``None``/1 serial,
         ``-1`` all cores).  Values are identical for any setting.
@@ -330,11 +299,6 @@ def build_matrix(
         miss builds the subset and caches nothing, since only full
         matrices are cached.
     """
-    engine = engine or _default_engine
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown feature engine {engine!r}; known: {', '.join(ENGINES)}"
-        )
     plan = column_plan(spec, columns)
 
     with trace("core.build_feature_matrix") as span:
@@ -363,7 +327,7 @@ def build_matrix(
             if parallel
             else [(0, len(records))]
         )
-        if engine == "columnar" and records:
+        if records:
             # Chunk cells against the padded cells each row chunk's
             # blocks hold: the padding overhead of this build.
             lengths = [record.n_chunks for record in records]
@@ -374,7 +338,7 @@ def build_matrix(
             ))
         if parallel:
             payloads = [
-                (spec.name, engine, plan.columns, list(records[start:stop]))
+                (spec.name, plan.columns, list(records[start:stop]))
                 for start, stop in ranges
             ]
             parts = run_tasks(
@@ -382,10 +346,10 @@ def build_matrix(
             )
             matrix = np.vstack(parts)
         else:
-            matrix = _build_rows(records, plan, engine, batch=batch)
+            matrix = _columnar_rows(batch or pack_records(records), plan)
         elapsed = time.perf_counter() - started
 
-    _BUILDS.labels(model=spec.name, engine=engine).inc()
+    _BUILDS.labels(model=spec.name).inc()
     _BUILD_SECONDS.labels(model=spec.name).observe(elapsed)
     _ROWS_BUILT.labels(model=spec.name).inc(len(records))
     if elapsed > 0:

@@ -116,6 +116,9 @@ def _order_values(
     values = np.zeros((lengths.size, len(stats)), dtype=np.float64)
     bad = np.zeros(lengths.size, dtype=bool)
     rows = np.flatnonzero(lengths > 0)
+    if rows.size == 0:
+        # Every row empty (the 0.0 rule); the stack may have no column.
+        return values, bad
     # Sorted, a row is all-finite iff its first and last valid cells
     # are: -inf sorts first, +inf last, and NaN after the +inf padding,
     # pushing a pad into the last valid cell.

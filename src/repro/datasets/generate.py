@@ -15,15 +15,16 @@ A third helper generates an all-adaptive corpus for the HAS-only
 experiments (average representation, quality switching) — the paper
 derives those from the adaptive subset of its dataset.
 
-Engines
--------
-Generation runs on one of two engines (``repro.datasets.genx``):
-``"per-session"`` simulates each session through the original
-object-per-session classes and is the bit-identity oracle;
-``"vectorized"`` batches the path fading and TCP rounds of all
-sessions through numpy.  Both consume the same pre-drawn
+Engine and oracle
+-----------------
+:func:`generate_corpus` batches the path fading and TCP rounds of all
+sessions through numpy (:mod:`repro.datasets.genx.vector`).
+:func:`reference_corpus` simulates each session through the original
+object-per-session classes instead and is the bit-identity oracle the
+tests compare against.  Both consume the same pre-drawn
 :class:`~repro.datasets.genx.plan.CorpusPlan` and per-session RNG
-streams, so a fixed seed yields bit-identical corpora either way.
+streams and share one capture-and-prepare tail, so a fixed seed yields
+bit-identical corpora either way.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.capture.device import DeviceLogger, PlaybackSummary, SegmentRecord
 from repro.capture.proxy import WebProxy
@@ -48,8 +47,7 @@ from repro.streaming.catalog import DASH_LADDER, VideoCatalog
 from repro.streaming.progressive import ProgressivePlayer
 from repro.streaming.session import VideoSession
 
-from . import genx
-from .genx.plan import NOISE_HOSTS, CorpusPlan, build_noise_entries, build_plan
+from .genx.plan import CorpusPlan, build_noise_entries, build_plan
 from .genx.streams import SessionStreams, corpus_streams
 from .preparation import (
     group_cleartext_sessions,
@@ -64,6 +62,7 @@ __all__ = [
     "generate_cleartext_corpus",
     "generate_adaptive_corpus",
     "generate_encrypted_corpus",
+    "reference_corpus",
 ]
 
 #: Screen/data-plan quality caps users impose on adaptive playback
@@ -78,24 +77,18 @@ DEFAULT_QUALITY_CAPS: Dict[int, float] = {
     1080: 0.02,
 }
 
-# Backwards-compatible alias; the hosts now live with the plan builder.
-_NOISE_HOSTS = NOISE_HOSTS
-
 _REG = get_registry()
 _SESSIONS_TOTAL = _REG.counter(
     "repro_datasets_sessions_total",
-    "Sessions generated into corpora, by engine.",
-    labelnames=("engine",),
+    "Sessions generated into corpora.",
 )
 _GENERATION_SECONDS = _REG.histogram(
     "repro_datasets_generation_seconds",
     "Wall-clock seconds per corpus generation run.",
-    labelnames=("engine",),
 )
 _SESSIONS_PER_SECOND = _REG.gauge(
     "repro_datasets_sessions_per_second",
     "Sessions per second of the most recent corpus generation run.",
-    labelnames=("engine",),
 )
 
 
@@ -202,33 +195,51 @@ def _simulate_sessions_oracle(
     return sessions
 
 
-def generate_corpus(config: CorpusConfig, engine: Optional[str] = None) -> Corpus:
-    """Simulate sessions, capture them through the proxy, prepare records.
-
-    ``engine`` selects the simulation engine (defaults to the
-    process-wide :func:`repro.datasets.genx.get_default_engine`); both
-    engines produce bit-identical corpora for the same config.
-    """
-    if engine is None:
-        engine = genx.get_default_engine()
-    if engine not in genx.ENGINES:
-        raise ValueError(
-            f"unknown corpus engine {engine!r}; known: {', '.join(genx.ENGINES)}"
-        )
-    started = time.perf_counter()
-
+def _plan(config: CorpusConfig) -> Tuple[CorpusPlan, List[SessionStreams]]:
     catalog = VideoCatalog(mean_duration_s=config.mean_video_duration_s)
     plan_rng, streams = corpus_streams(config.seed, config.n_sessions)
-    plan = build_plan(config, plan_rng, catalog)
+    return build_plan(config, plan_rng, catalog), streams
 
-    if engine == "vectorized":
-        from .genx.vector import simulate_sessions
 
-        sessions = simulate_sessions(plan, streams)
-    else:
-        sessions = _simulate_sessions_oracle(plan, streams)
+def generate_corpus(config: CorpusConfig) -> Corpus:
+    """Simulate sessions, capture them through the proxy, prepare records.
 
-    # --- Everything after simulation is engine-independent. -----------
+    Simulation runs on the vectorized engine; the corpus is
+    bit-identical to :func:`reference_corpus` for the same config.
+    """
+    # Imported on first use: every process that imports ``repro`` loads
+    # this module, serving workers included, and most never generate.
+    from .genx.vector import simulate_sessions
+
+    started = time.perf_counter()
+    plan, streams = _plan(config)
+    corpus = _capture(config, plan, streams, simulate_sessions(plan, streams))
+    elapsed = time.perf_counter() - started
+    _SESSIONS_TOTAL.inc(len(corpus.sessions))
+    _GENERATION_SECONDS.observe(elapsed)
+    if elapsed > 0:
+        _SESSIONS_PER_SECOND.set(len(corpus.sessions) / elapsed)
+    return corpus
+
+
+def reference_corpus(config: CorpusConfig) -> Corpus:
+    """:func:`generate_corpus` on the per-session oracle simulation.
+
+    The bit-identity specification of the vectorized engine: tests and
+    benchmarks compare the two field for field.
+    """
+    plan, streams = _plan(config)
+    return _capture(
+        config, plan, streams, _simulate_sessions_oracle(plan, streams)
+    )
+
+
+def _capture(
+    config: CorpusConfig,
+    plan: CorpusPlan,
+    streams: List[SessionStreams],
+    sessions: List[VideoSession],
+) -> Corpus:
     # Realized epochs: each session starts where the previous one ended
     # plus the planned gap.
     realized_epochs: List[float] = []
@@ -276,12 +287,6 @@ def generate_corpus(config: CorpusConfig, engine: Optional[str] = None) -> Corpu
     else:
         records = group_cleartext_sessions(weblogs)
 
-    elapsed = time.perf_counter() - started
-    _SESSIONS_TOTAL.labels(engine=engine).inc(len(sessions))
-    _GENERATION_SECONDS.labels(engine=engine).observe(elapsed)
-    if elapsed > 0:
-        _SESSIONS_PER_SECOND.labels(engine=engine).set(len(sessions) / elapsed)
-
     return Corpus(
         sessions=sessions,
         records=records,
@@ -295,7 +300,6 @@ def generate_cleartext_corpus(
     n_sessions: int,
     seed: int = 0,
     adaptive_fraction: float = 0.03,
-    engine: Optional[str] = None,
 ) -> Corpus:
     """The §3.1-style operator corpus (legacy-heavy, cleartext)."""
     return generate_corpus(
@@ -304,8 +308,7 @@ def generate_cleartext_corpus(
             seed=seed,
             adaptive_fraction=adaptive_fraction,
             mobility=STATIC_USER,
-        ),
-        engine=engine,
+        )
     )
 
 
@@ -313,7 +316,6 @@ def generate_adaptive_corpus(
     n_sessions: int,
     seed: int = 0,
     transient_outage_prob: float = 0.45,
-    engine: Optional[str] = None,
 ) -> Corpus:
     """All-HAS cleartext corpus for the representation experiments.
 
@@ -328,8 +330,7 @@ def generate_adaptive_corpus(
             adaptive_fraction=1.0,
             mobility=STATIC_USER,
             transient_outage_prob=transient_outage_prob,
-        ),
-        engine=engine,
+        )
     )
 
 
@@ -337,7 +338,6 @@ def generate_encrypted_corpus(
     n_sessions: int = 722,
     seed: int = 42,
     adaptive_fraction: float = 1.0,
-    engine: Optional[str] = None,
 ) -> Corpus:
     """The §5.2 instrumented-commuter corpus (encrypted, one subscriber).
 
@@ -354,6 +354,5 @@ def generate_encrypted_corpus(
             mobility=COMMUTER_USER,
             encrypted=True,
             single_subscriber=True,
-        ),
-        engine=engine,
+        )
     )

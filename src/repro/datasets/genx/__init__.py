@@ -1,54 +1,20 @@
 """genx: the vectorized corpus engine.
 
-Corpus generation has two interchangeable engines:
+:func:`repro.datasets.generate.generate_corpus` always simulates
+through the columnar engine in :mod:`repro.datasets.genx.vector`,
+which batches all sessions' path fading, TCP rounds, player state
+machines and buffer accounting through numpy and materializes the
+session objects at the end.
 
-* ``"per-session"`` — the original object-per-session simulation loop
-  (:class:`~repro.network.path.NetworkPath`, the player classes, the
-  capture proxy), kept as the *bit-identity oracle*;
-* ``"vectorized"`` — a columnar engine (:mod:`repro.datasets.genx.vector`)
-  that batches all sessions' path fading, TCP rounds, player state
-  machines and buffer accounting through numpy and materializes the
-  same objects at the end.
-
-Both consume one shared :class:`~repro.datasets.genx.plan.CorpusPlan`
-and per-session RNG streams (:mod:`repro.datasets.genx.streams`), so a
-fixed seed produces **bit-identical** corpora — identical weblog
-fields, records, summaries and segment records — from either engine.
-This mirrors the ``repro.core.featurex`` precedent: the slow path is
-the specification, the fast path is an optimisation that must prove
-itself equal.
-
-Engine selection: explicit ``engine=`` argument >
-``REPRO_CORPUS_ENGINE`` environment variable > ``DEFAULT_ENGINE``.
+The original object-per-session simulation loop
+(:class:`~repro.network.path.NetworkPath`, the player classes, the
+capture proxy) stays as the *bit-identity oracle*:
+:func:`repro.datasets.generate.reference_corpus` runs it, and the tests
+and benchmarks compare the two.  Both consume one shared
+:class:`~repro.datasets.genx.plan.CorpusPlan` and per-session RNG
+streams (:mod:`repro.datasets.genx.streams`), so a fixed seed produces
+**bit-identical** corpora — identical weblog fields, records, summaries
+and segment records — from either.  This mirrors the
+``repro.core.featurex`` precedent: the slow path is the specification,
+the fast path is an optimisation that must prove itself equal.
 """
-
-from __future__ import annotations
-
-import os
-
-__all__ = [
-    "ENGINES",
-    "DEFAULT_ENGINE",
-    "get_default_engine",
-    "set_default_engine",
-]
-
-ENGINES = ("vectorized", "per-session")
-DEFAULT_ENGINE = "vectorized"
-
-_default_engine = os.environ.get("REPRO_CORPUS_ENGINE", DEFAULT_ENGINE)
-
-
-def get_default_engine() -> str:
-    """Corpus engine used when callers do not pass one explicitly."""
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default corpus engine."""
-    global _default_engine
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown corpus engine {engine!r}; known: {', '.join(ENGINES)}"
-        )
-    _default_engine = engine

@@ -33,15 +33,9 @@ class ExperimentConfig:
         feature builds (1 serial, -1 all cores).  Results are identical
         for any value — only wall-clock changes.
     feature_cache_dir:
-        Directory of the on-disk feature-matrix cache; ``None`` keeps
-        caching in-memory only.  The workspace defaults this to
-        ``<workspace>/feature-cache`` so repeated runs on an unchanged
-        corpus skip the feature builds entirely.
-    corpus_engine:
-        Corpus generation engine (``"vectorized"`` or ``"per-session"``);
-        ``None`` defers to :func:`repro.datasets.genx.get_default_engine`.
-        Both engines produce bit-identical corpora — only wall-clock
-        changes.
+        Directory of the on-disk feature-matrix cache, so repeated runs
+        on an unchanged corpus skip the feature builds entirely;
+        ``None`` (the default) keeps caching in-memory only.
     """
 
     cleartext_sessions: int = 3000
@@ -51,7 +45,6 @@ class ExperimentConfig:
     n_estimators: int = 60
     n_jobs: int = 1
     feature_cache_dir: Optional[str] = None
-    corpus_engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if min(
@@ -62,14 +55,6 @@ class ExperimentConfig:
             raise ValueError("corpora must have at least 10 sessions")
         if self.n_jobs == 0:
             raise ValueError("n_jobs must not be 0 (use 1 for serial)")
-        if self.corpus_engine is not None:
-            from repro.datasets import genx
-
-            if self.corpus_engine not in genx.ENGINES:
-                raise ValueError(
-                    f"unknown corpus engine {self.corpus_engine!r}; "
-                    f"known: {', '.join(genx.ENGINES)}"
-                )
 
 
 FULL = ExperimentConfig()

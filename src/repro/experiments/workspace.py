@@ -37,8 +37,9 @@ class Workspace:
     def __init__(self, config: ExperimentConfig = FULL) -> None:
         self.config = config
         self._cache: Dict[str, object] = {}
-        if config.feature_cache_dir is not None:
-            configure_cache(directory=config.feature_cache_dir)
+        # Always re-point the disk layer, so a directory one workspace
+        # set never outlives it into the next.
+        configure_cache(directory=config.feature_cache_dir)
 
     # ------------------------------------------------------------------
     # Corpora
@@ -50,7 +51,6 @@ class Workspace:
             self._cache["cleartext"] = generate_cleartext_corpus(
                 self.config.cleartext_sessions,
                 seed=self.config.seed,
-                engine=self.config.corpus_engine,
             )
         return self._cache["cleartext"]
 
@@ -60,7 +60,6 @@ class Workspace:
             self._cache["adaptive"] = generate_adaptive_corpus(
                 self.config.adaptive_sessions,
                 seed=self.config.seed + 1,
-                engine=self.config.corpus_engine,
             )
         return self._cache["adaptive"]
 
@@ -70,7 +69,6 @@ class Workspace:
             self._cache["encrypted"] = generate_encrypted_corpus(
                 self.config.encrypted_sessions,
                 seed=self.config.seed + 2,
-                engine=self.config.corpus_engine,
             )
         return self._cache["encrypted"]
 

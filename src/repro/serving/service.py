@@ -604,7 +604,10 @@ class QoEService:
         exhausts its restart budget trips its circuit breaker and its
         backlog is quarantined in the dead-letter queue.  Each
         surviving worker force-closes its open sessions, diagnoses its
-        final batches and runs the final alarm sweep.  Returns *all*
+        final batches and runs the final alarm sweep; a worker still
+        running when the supervisor's pass gives up is wedged and is
+        not joined (it stays ``alive`` and marks the service
+        ``degraded``).  Returns *all*
         diagnoses the service ever produced.  Supervised failures
         never raise here — they degrade :meth:`health` instead of
         crashing the caller.
@@ -619,9 +622,12 @@ class QoEService:
             self.supervisor.stop()
             for shard in self._shards:
                 shard.queue.close()
-            self.supervisor.ensure_drained()
+            wedged = self.supervisor.ensure_drained()
             for shard in self._shards:
-                if not self.supervisor.circuit_open(shard.index):
+                if not (
+                    self.supervisor.circuit_open(shard.index)
+                    or shard.index in wedged
+                ):
                     shard.join()
             if self._fallback is not None:
                 self._fallback.queue.close()

@@ -180,6 +180,8 @@ class ShardSupervisor:
         self._lock = threading.RLock()
         self._open_circuits: Set[int] = set()
         self._stalled: Set[int] = set()
+        #: Shards still running when :meth:`ensure_drained` gave up.
+        self._wedged: Set[int] = set()
         #: Hysteresis counters: consecutive stale / fresh polls.
         self._stale_ticks: dict = {}
         self._fresh_ticks: dict = {}
@@ -239,7 +241,7 @@ class ShardSupervisor:
     def degraded(self) -> bool:
         """True once any shard is non-restartable or wedged."""
         with self._lock:
-            return bool(self._open_circuits or self._stalled)
+            return bool(self._open_circuits or self._stalled or self._wedged)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -510,7 +512,7 @@ class ShardSupervisor:
     # Drain support
     # ------------------------------------------------------------------
 
-    def ensure_drained(self, timeout_s: float = 60.0) -> None:
+    def ensure_drained(self, timeout_s: float = 60.0) -> List[int]:
         """Synchronous final pass: every shard ends stopped or broken.
 
         Called by ``QoEService.drain()`` *after* :meth:`stop` and after
@@ -520,7 +522,9 @@ class ShardSupervisor:
         runs out, at which point its circuit opens and its backlog is
         quarantined.  Returns once no shard is running, or after
         ``timeout_s`` (workers are daemon threads; a wedged one cannot
-        block shutdown forever).
+        block shutdown forever).  Returns the indices of the shards
+        still running — wedged ones the caller must not join; they
+        count in :attr:`degraded` from then on.
         """
         deadline = self._clock() + timeout_s
         while self._clock() < deadline:
@@ -537,10 +541,11 @@ class ShardSupervisor:
                     elif shard.alive:
                         pending = True
             if not pending:
-                return
+                return []
             time.sleep(self.poll_interval_s)
         with self._lock:
             still_running = [s.index for s in self._shards if s.alive]
+            self._wedged.update(still_running)
         if still_running:
             _LOG.error(
                 "drain_timeout", shards=still_running, timeout_s=timeout_s
@@ -548,3 +553,4 @@ class ShardSupervisor:
             get_recorder().dump(
                 "drain_timeout", shards=still_running, timeout_s=timeout_s
             )
+        return still_running

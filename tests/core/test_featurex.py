@@ -30,7 +30,6 @@ from repro.core.features import (
     get_model_spec,
 )
 from repro.core.featurex import (
-    ENGINES,
     FeatureMatrixCache,
     RaggedBatch,
     batch_key,
@@ -38,10 +37,9 @@ from repro.core.featurex import (
     column_plan,
     configure_cache,
     get_cache,
-    get_default_engine,
     pack_records,
     record_row,
-    set_default_engine,
+    reference_rows,
 )
 from repro.core.featurex.stats import padded_summary, sorted_order_statistics
 from repro.datasets.generate import generate_cleartext_corpus
@@ -147,6 +145,10 @@ def _build(model):
     return build_stall_matrix if model == "stall" else build_representation_matrix
 
 
+def _reference(model, records, columns=None):
+    return reference_rows(records, get_model_spec(model), columns)
+
+
 # ----------------------------------------------------------------------
 # Bit-identity property suite
 # ----------------------------------------------------------------------
@@ -156,17 +158,15 @@ def _build(model):
 class TestEngineEquality:
     def test_corpus_records(self, model, stall_records, adaptive_records):
         records = stall_records if model == "stall" else adaptive_records
-        columnar, names_c = _build(model)(records, engine="columnar", cache=False)
-        reference, names_r = _build(model)(
-            records, engine="per-record", cache=False
-        )
-        assert names_c == names_r
+        columnar, names = _build(model)(records, cache=False)
+        reference = _reference(model, records)
+        assert names == list(get_model_spec(model).feature_names)
         assert np.array_equal(columnar, reference)
 
     def test_mixed_lengths_and_dirty_rows(self, model):
         records = _mixed_batch()
-        columnar, _ = _build(model)(records, engine="columnar", cache=False)
-        reference, _ = _build(model)(records, engine="per-record", cache=False)
+        columnar, _ = _build(model)(records, cache=False)
+        reference = _reference(model, records)
         assert np.array_equal(columnar, reference)
         # NaN/inf never leak into the matrix — the per-metric finite
         # filter drops them before any statistic.
@@ -175,14 +175,14 @@ class TestEngineEquality:
     def test_single_chunk_sessions(self, model):
         """n=1 sessions make every Δ series empty (the 0.0 rule)."""
         records = [_make_record(1, seed=s) for s in range(5)]
-        columnar, _ = _build(model)(records, engine="columnar", cache=False)
-        reference, _ = _build(model)(records, engine="per-record", cache=False)
+        columnar, _ = _build(model)(records, cache=False)
+        reference = _reference(model, records)
         assert np.array_equal(columnar, reference)
 
     def test_constant_series(self, model):
         records = [_make_record(6, seed=s, constant=True) for s in range(3)]
-        columnar, _ = _build(model)(records, engine="columnar", cache=False)
-        reference, _ = _build(model)(records, engine="per-record", cache=False)
+        columnar, _ = _build(model)(records, cache=False)
+        reference = _reference(model, records)
         assert np.array_equal(columnar, reference)
 
     def test_empty_batch(self, model):
@@ -214,8 +214,8 @@ class TestPaddedBatches:
         records += [
             _with_nonfinite(_make_record(n, seed=60 + n)) for n in (1, 2, 299)
         ]
-        columnar, _ = _build(model)(records, engine="columnar", cache=False)
-        reference, _ = _build(model)(records, engine="per-record", cache=False)
+        columnar, _ = _build(model)(records, cache=False)
+        reference = _reference(model, records)
         assert columnar.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("model", ["stall", "representation"])
@@ -227,17 +227,15 @@ class TestPaddedBatches:
         inf.bdp[:] = np.inf
         inf.sizes[::2] = -np.inf
         records = [nan, inf, _make_record(9, seed=5)]
-        columnar, _ = _build(model)(records, engine="columnar", cache=False)
-        reference, _ = _build(model)(records, engine="per-record", cache=False)
+        columnar, _ = _build(model)(records, cache=False)
+        reference = _reference(model, records)
         assert columnar.tobytes() == reference.tobytes()
 
     def test_four_hundred_session_corpus(self):
         records = generate_cleartext_corpus(400, seed=11).records
         for model in ("stall", "representation"):
-            columnar, _ = _build(model)(records, engine="columnar", cache=False)
-            reference, _ = _build(model)(
-                records, engine="per-record", cache=False
-            )
+            columnar, _ = _build(model)(records, cache=False)
+            reference = _reference(model, records)
             assert columnar.tobytes() == reference.tobytes(), model
 
     def test_span_reports_padding(self):
@@ -425,14 +423,16 @@ class TestColumnProjection:
     @settings(max_examples=60, deadline=None)
     @given(case=_projection_case())
     def test_projection_equals_full_slice(self, case):
-        """Both engines, one-chunk sessions, non-finite rows, empty batch."""
+        """Engine and reference, one-chunk sessions, non-finite rows,
+        empty batch."""
         model, records, columns = case
         spec = get_model_spec(model)
-        for engine in ENGINES:
-            full = build_matrix(records, spec, engine=engine, cache=False)
-            sub = build_matrix(
-                records, spec, engine=engine, cache=False, columns=columns
-            )
+        for build in (
+            lambda **kw: build_matrix(records, spec, cache=False, **kw),
+            lambda **kw: reference_rows(records, spec, **kw),
+        ):
+            full = build()
+            sub = build(columns=columns)
             assert sub.shape == (len(records), len(columns))
             assert np.array_equal(sub, full[:, columns])
 
@@ -447,12 +447,22 @@ class TestColumnProjection:
         full = build_matrix(records, spec, cache=False)
         for _ in range(5):
             columns = list(rng.permutation(width)[:15])
-            for engine in ENGINES:
-                sub, names = _build(model)(
-                    records, engine=engine, cache=False, columns=columns
-                )
-                assert np.array_equal(sub, full[:, columns])
-                assert names == [spec.feature_names[c] for c in columns]
+            sub, names = _build(model)(records, cache=False, columns=columns)
+            assert np.array_equal(sub, full[:, columns])
+            assert names == [spec.feature_names[c] for c in columns]
+            assert np.array_equal(
+                _reference(model, records, columns), full[:, columns]
+            )
+
+    def test_each_column_of_single_chunk_sessions(self):
+        """A Δ column alone on n=1 sessions reads a block with no cell."""
+        records = [_make_record(1, seed=s) for s in range(3)]
+        spec = get_model_spec("representation")
+        for column in range(len(spec.feature_names)):
+            sub = build_matrix(records, spec, cache=False, columns=[column])
+            assert np.array_equal(
+                sub, _reference("representation", records, [column])
+            )
 
     def test_record_row_equals_matrix_row(self):
         records = _mixed_batch()
@@ -625,11 +635,12 @@ class TestCache:
         assert cache._memory_get("key-0") is None
 
     def test_engine_and_cache_share_values(self, isolated_cache):
-        """A matrix cached by one engine serves the other — same bits."""
+        """A cached matrix is the built one, with the reference's bits."""
         records = [_make_record(9, seed=s) for s in range(4)]
-        columnar, _ = build_stall_matrix(records, engine="columnar")
-        cached, _ = build_stall_matrix(records, engine="per-record")
+        columnar, _ = build_stall_matrix(records)
+        cached, _ = build_stall_matrix(records)
         assert cached is columnar
+        assert np.array_equal(cached, _reference("stall", records))
 
 
 class TestWorkspaceCache:
@@ -662,6 +673,34 @@ class TestWorkspaceCache:
             configure_cache(directory=old_directory)
             cache.clear()
 
+    def test_cache_directory_does_not_outlive_its_workspace(self, tmp_path):
+        import dataclasses
+
+        from repro.experiments.config import SMALL
+        from repro.experiments.workspace import Workspace
+
+        cache = get_cache()
+        old_directory = cache.directory
+        try:
+            config = dataclasses.replace(
+                SMALL,
+                cleartext_sessions=40,
+                adaptive_sessions=20,
+                encrypted_sessions=10,
+            )
+            first_dir = tmp_path / "first"
+            Workspace(
+                dataclasses.replace(config, feature_cache_dir=str(first_dir))
+            )
+            second = Workspace(config)
+            assert cache.directory is None
+            cache.clear()
+            build_stall_matrix(second.stall_records())
+            assert not list(first_dir.glob("*.npy"))
+        finally:
+            configure_cache(directory=old_directory)
+            cache.clear()
+
 
 # ----------------------------------------------------------------------
 # Engine selection + observability
@@ -669,24 +708,6 @@ class TestWorkspaceCache:
 
 
 class TestEngineSelection:
-    def test_engines_registry(self):
-        assert set(ENGINES) == {"columnar", "per-record"}
-        assert get_default_engine() in ENGINES
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown feature engine"):
-            build_stall_matrix([_make_record(4)], engine="turbo", cache=False)
-
-    def test_set_default_engine(self):
-        before = get_default_engine()
-        try:
-            set_default_engine("per-record")
-            assert get_default_engine() == "per-record"
-            with pytest.raises(ValueError):
-                set_default_engine("turbo")
-        finally:
-            set_default_engine(before)
-
     def test_model_specs_are_complete(self):
         for model, width in (("stall", 70), ("representation", 210)):
             spec = get_model_spec(model)

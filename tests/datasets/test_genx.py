@@ -4,8 +4,8 @@ The vectorized engine (``repro.datasets.genx.vector``) must reproduce
 the per-session oracle bit for bit for every corpus shape: same
 sessions, weblog fields, prepared records, device summaries and
 segment records.  These tests run full ``generate_corpus`` builds
-through both engines and compare every field exactly (no tolerances —
-the contract is bitwise equality, not closeness).
+against ``reference_corpus`` and compare every field exactly (no
+tolerances — the contract is bitwise equality, not closeness).
 """
 
 import dataclasses
@@ -19,8 +19,9 @@ from repro.datasets.generate import (
     CorpusConfig,
     _simulate_sessions_oracle,
     generate_corpus,
+    reference_corpus,
 )
-from repro.datasets.genx import ENGINES, vector
+from repro.datasets.genx import vector
 from repro.datasets.genx.plan import build_plan
 from repro.datasets.genx.streams import corpus_streams
 from repro.network.diurnal import DiurnalLoadModel
@@ -83,21 +84,21 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_vectorized_matches_oracle(self, name):
         cfg = CONFIGS[name]
-        vec = generate_corpus(cfg, engine="vectorized")
-        ora = generate_corpus(cfg, engine="per-session")
+        vec = generate_corpus(cfg)
+        ora = reference_corpus(cfg)
         assert_corpora_identical(vec, ora)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown corpus engine"):
-            generate_corpus(CONFIGS["empty"], engine="warp")
 
 
 class TestSameSeedDeterminism:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_same_seed_twice_identical(self, engine):
+    @pytest.mark.parametrize(
+        "generate",
+        [generate_corpus, reference_corpus],
+        ids=["vectorized", "per-session"],
+    )
+    def test_same_seed_twice_identical(self, generate):
         cfg = CONFIGS["cleartext"]
-        a = generate_corpus(cfg, engine=engine)
-        b = generate_corpus(cfg, engine=engine)
+        a = generate(cfg)
+        b = generate(cfg)
         assert_corpora_identical(a, b)
 
 
@@ -122,7 +123,7 @@ KERNEL_CONFIGS = {
 def kernel_case(request):
     """A kernel-coverage config and its oracle corpus."""
     config = KERNEL_CONFIGS[request.param]
-    return config, generate_corpus(config, engine="per-session")
+    return config, reference_corpus(config)
 
 
 class TestKernelCoverage:
@@ -142,7 +143,7 @@ class TestKernelCoverage:
         config, oracle = kernel_case
         monkeypatch.setattr(vector, "_SCALAR_TAIL", tail)
         monkeypatch.setattr(vector, "_PATH_BLOCK", block)
-        assert_corpora_identical(generate_corpus(config, engine="vectorized"), oracle)
+        assert_corpora_identical(generate_corpus(config), oracle)
 
     def test_outage_config_plans_outages(self):
         plan, _ = _plan_and_streams(KERNEL_CONFIGS["outage"])
@@ -182,7 +183,7 @@ class TestPhaseSpans:
     def test_one_generation_emits_each_phase_once(self, tracer):
         config = CONFIGS["cleartext"]
         plan, _ = _plan_and_streams(config)
-        generate_corpus(config, engine="vectorized")
+        generate_corpus(config)
         steps = sum(
             max(2, math.ceil(v.duration_s * 4.0 + 180.0) + 1) for v in plan.videos
         )

@@ -184,11 +184,9 @@ class TestLongPrefixes:
                 self.REPRESENTATION_COLUMNS,
             ),
         ):
-            full, _ = build([prefix], engine="columnar", cache=False)
+            full, _ = build([prefix], cache=False)
             assert np.array_equal(vector(), full[0])
-            subset, _ = build(
-                [prefix], engine="columnar", cache=False, columns=columns
-            )
+            subset, _ = build([prefix], cache=False, columns=columns)
             assert np.array_equal(vector(columns), subset[0])
             assert np.array_equal(subset[0], full[0][columns])
 
@@ -196,10 +194,8 @@ class TestLongPrefixes:
         record = max(encrypted_corpus.records, key=lambda r: r.n_chunks)
         ks = range(1, record.n_chunks + 1)
         prefixes = [_prefix_record(record, k) for k in ks]
-        stall, _ = build_stall_matrix(prefixes, engine="columnar", cache=False)
-        representation, _ = build_representation_matrix(
-            prefixes, engine="columnar", cache=False
-        )
+        stall, _ = build_stall_matrix(prefixes, cache=False)
+        representation, _ = build_representation_matrix(prefixes, cache=False)
         for k in ks:
             state = state_from_record_prefix(record, k)
             assert np.array_equal(state.stall_vector(), stall[k - 1])

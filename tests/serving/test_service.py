@@ -128,6 +128,37 @@ class TestLifecycle:
         assert service.state == "stopped"
         assert len(service.diagnoses) > 0
 
+    def test_drain_returns_past_a_wedged_shard(
+        self, serving_framework, serving_trace
+    ):
+        """A shard still running when ``ensure_drained`` gives up is not
+        joined: ``drain()`` returns, and the shard shows as wedged."""
+        release = threading.Event()
+
+        def blocking(_):
+            release.wait()
+
+        service = QoEService(
+            serving_framework, n_shards=1, on_diagnosis=blocking
+        )
+        supervisor = service.supervisor
+        bounded = supervisor.ensure_drained
+        supervisor.ensure_drained = lambda: bounded(timeout_s=0.5)
+        service.start()
+        try:
+            service.submit_many(serving_trace[:200])
+            drainer = threading.Thread(target=service.drain, daemon=True)
+            drainer.start()
+            drainer.join(timeout=10.0)
+            assert not drainer.is_alive(), "drain() blocked on a wedged shard"
+            assert service.state == "stopped"
+            health = service.health()
+            assert health["degraded"] is True
+            assert health["shards"][0]["alive"] is True
+        finally:
+            release.set()
+            service._shards[0].join(timeout=10.0)
+
     def test_accepts_model_manager(self, serving_framework, serving_trace):
         manager = ModelManager(serving_framework)
         with QoEService(manager, n_shards=1) as service:

@@ -1,7 +1,7 @@
 """The runtime needs numpy only.
 
 ``pyproject.toml`` lists numpy as the sole dependency, so the runtime
-paths — corpus generation on both engines, model fitting and sharded
+paths — corpus generation (and its reference), model fitting and sharded
 serving — must never import scipy.  A fresh interpreter runs them and
 reports every loaded module, since the parent test process may have
 imported scipy for its own reasons.
@@ -28,11 +28,12 @@ SCRIPT = textwrap.dedent(
         generate_adaptive_corpus,
         generate_cleartext_corpus,
         generate_corpus,
+        reference_corpus,
     )
     from repro.serving import QoEService, synthetic_trace
 
-    for engine in ("vectorized", "per-session"):
-        generate_corpus(CorpusConfig(n_sessions=6, seed=1), engine=engine)
+    for generate in (generate_corpus, reference_corpus):
+        generate(CorpusConfig(n_sessions=6, seed=1))
 
     cleartext = generate_cleartext_corpus(60, seed=3)
     adaptive = generate_adaptive_corpus(40, seed=4)
