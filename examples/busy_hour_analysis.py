@@ -30,7 +30,7 @@ def main() -> None:
     adaptive = generate_adaptive_corpus(200, seed=31)
     framework = QoEFramework(random_state=0, n_estimators=25).fit(
         cleartext.records_with_stall_truth(),
-        [r for r in adaptive.records if r.resolutions is not None],
+        adaptive.records_with_representation_truth(),
     )
 
     print("capturing one day of encrypted traffic with diurnal load ...")

@@ -40,7 +40,7 @@ def train_framework() -> QoEFramework:
     framework = QoEFramework(random_state=0, n_estimators=30)
     framework.fit(
         cleartext.records_with_stall_truth(),
-        [r for r in adaptive.records if r.resolutions is not None],
+        adaptive.records_with_representation_truth(),
     )
     print(f"   stall features: {framework.stall.selected_names_}")
     print(f"   representation features: "

@@ -23,9 +23,7 @@ def main() -> None:
     adaptive = generate_adaptive_corpus(250, seed=2)
 
     stall_records = cleartext.records_with_stall_truth()
-    adaptive_records = [
-        r for r in adaptive.records if r.resolutions is not None
-    ]
+    adaptive_records = adaptive.records_with_representation_truth()
 
     # 2. Train all three detectors once, on cleartext ground truth.
     print("training the QoE framework (stalls, representation, switching) ...")

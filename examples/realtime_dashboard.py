@@ -37,7 +37,7 @@ def train_and_persist(model_path: Path) -> None:
     adaptive = generate_adaptive_corpus(220, seed=21)
     framework = QoEFramework(random_state=0, n_estimators=25).fit(
         cleartext.records_with_stall_truth(),
-        [r for r in adaptive.records if r.resolutions is not None],
+        adaptive.records_with_representation_truth(),
     )
     save_framework(framework, model_path)
     print(f"   models written to {model_path} "

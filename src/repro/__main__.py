@@ -150,7 +150,7 @@ def _train_or_load_framework(args, log):
     )
     return QoEFramework(random_state=args.seed, n_estimators=20).fit(
         cleartext.records_with_stall_truth(),
-        [r for r in adaptive.records if r.resolutions is not None],
+        adaptive.records_with_representation_truth(),
     )
 
 

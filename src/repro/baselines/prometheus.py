@@ -21,15 +21,14 @@ neither module shadows the other).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.evaluation import balanced_train_full_test, evaluate_model
-from repro.core.features import build_stall_matrix, stall_feature_names
+from repro.core.detector import ForestDetector
+from repro.core.features import stall_feature_names
 from repro.datasets.schema import SessionRecord
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.metrics import ClassificationReport
+from repro.ml.selection import InfoGainRanker, SelectionResult
 
 __all__ = ["PrometheusBaseline", "BINARY_LABELS"]
 
@@ -58,18 +57,33 @@ def _qos_indices() -> List[int]:
     ]
 
 
-class PrometheusBaseline:
+def binary_stall_label(record: SessionRecord) -> str:
+    """Binary stalled / not-stalled ground truth of one session."""
+    return "stalled" if record.rebuffering_ratio() > 0 else "not stalled"
+
+
+class PrometheusBaseline(ForestDetector):
     """Binary QoS-only stall classifier.
+
+    The pipeline is the paper's own (:class:`~repro.core.detector.
+    ForestDetector` over the stall feature model), so the comparison
+    isolates the feature set and the label granularity: the "selection"
+    is fixed to the QoS columns and the label is binary.
 
     Parameters
     ----------
     n_estimators / random_state:
-        Forest configuration (kept identical to the paper's model so
-        the comparison isolates the feature set and label granularity).
+        Forest configuration (kept identical to the paper's model).
     n_jobs:
-        Worker processes for feature builds (``None``/1 serial, ``-1``
-        all cores); values are identical for any setting.
+        Worker processes for feature builds, forest fitting and CV
+        folds (``None``/1 serial, ``-1`` all cores); values are
+        identical for any setting.
     """
+
+    feature_model = "stall"
+    label_rule = staticmethod(binary_stall_label)
+    class_labels = BINARY_LABELS
+    default_n_features = len(_qos_indices())
 
     def __init__(
         self,
@@ -77,80 +91,23 @@ class PrometheusBaseline:
         random_state: int = 0,
         n_jobs: Optional[int] = None,
     ) -> None:
-        self.n_estimators = n_estimators
-        self.random_state = random_state
-        self.n_jobs = n_jobs
-        self._indices = _qos_indices()
-        self._model: Optional[RandomForestClassifier] = None
-        self.train_report_: Optional[ClassificationReport] = None
-
-    def labels_for(self, records: Sequence[SessionRecord]) -> np.ndarray:
-        """Binary stalled / not-stalled ground truth."""
-        out = []
-        for record in records:
-            rr = record.rebuffering_ratio()
-            out.append("stalled" if rr > 0 else "not stalled")
-        return np.array(out)
-
-    def _features_of(self, records: Sequence[SessionRecord]) -> np.ndarray:
-        X, _ = build_stall_matrix(records, n_jobs=self.n_jobs)
-        return X[:, self._indices]
-
-    def fit(self, records: Sequence[SessionRecord]) -> "PrometheusBaseline":
-        """Balanced-train / full-test on the QoS feature block."""
-        y = self.labels_for(records)
-        self._model, self.train_report_ = balanced_train_full_test(
-            lambda: RandomForestClassifier(
-                n_estimators=self.n_estimators,
-                min_samples_leaf=3,
-                random_state=self.random_state,
-            ),
-            self._features_of(records),
-            y,
-            labels=list(BINARY_LABELS),
-            random_state=self.random_state,
-        )
-        return self
-
-    def predict(self, records: Sequence[SessionRecord]) -> np.ndarray:
-        if self._model is None:
-            raise RuntimeError("baseline is not fitted; call fit() first")
-        return self._model.predict(self._features_of(records))
-
-    def evaluate(
-        self, records: Sequence[SessionRecord]
-    ) -> ClassificationReport:
-        if self._model is None:
-            raise RuntimeError("baseline is not fitted; call fit() first")
-        y = self.labels_for(records)
-        return evaluate_model(
-            self._model,
-            self._features_of(records),
-            y,
-            labels=list(BINARY_LABELS),
+        super().__init__(
+            n_estimators=n_estimators, random_state=random_state, n_jobs=n_jobs
         )
 
-    def cross_validate(
-        self, records: Sequence[SessionRecord], n_splits: int = 10
-    ) -> ClassificationReport:
-        """Honest k-fold CV report (no test instance seen in training)."""
-        from repro.ml.balance import oversample
-        from repro.ml.crossval import clamped_cross_validate
-
-        y = self.labels_for(records)
-        X = self._features_of(records)
-        return clamped_cross_validate(
-            lambda: RandomForestClassifier(
-                n_estimators=self.n_estimators,
-                min_samples_leaf=3,
-                random_state=self.random_state,
-            ),
-            X,
-            y,
-            n_splits=n_splits,
-            random_state=self.random_state,
-            balance=lambda Xb, yb: oversample(
-                Xb, yb, random_state=self.random_state
-            ),
-            labels=list(BINARY_LABELS),
+    def _select(
+        self, X: np.ndarray, y: np.ndarray, names: List[str]
+    ) -> Tuple[List[int], List[str], SelectionResult]:
+        """The QoS columns, always, in ascending column order (the
+        forest's feature draws depend on that order), scored by their
+        information gain."""
+        indices = _qos_indices()
+        qos_names = [names[i] for i in indices]
+        ranked = InfoGainRanker().rank(X[:, indices], y)
+        gains = dict(zip(ranked.selected, ranked.scores))
+        result = SelectionResult(
+            selected=indices,
+            scores=[gains[k] for k in range(len(indices))],
+            names=qos_names,
         )
+        return indices, qos_names, result

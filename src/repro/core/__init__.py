@@ -1,6 +1,15 @@
 """The paper's contribution: QoE-impairment detection from
-encrypted-visible traffic features."""
+encrypted-visible traffic features.
 
+The §4.1 stall model and the §4.2 representation model run one
+Random-Forest pipeline, :class:`ForestDetector` (features → selection
+→ balancing → forest); :class:`StallDetector` and
+:class:`AvgRepresentationDetector` only declare their feature model,
+label rule, classes and feature budget.  The Prometheus baseline
+(:mod:`repro.baselines.prometheus`) is a third such declaration.
+"""
+
+from .detector import ForestDetector
 from .evaluation import balanced_train_full_test, evaluate_model
 from .features import (
     REPRESENTATION_METRICS,
@@ -34,6 +43,7 @@ from .switching import SwitchDetector, SwitchEvaluation
 __all__ = [
     "QoEFramework",
     "SessionDiagnosis",
+    "ForestDetector",
     "StallDetector",
     "AvgRepresentationDetector",
     "SwitchDetector",

@@ -31,14 +31,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.featurex.engine import ModelSpec, build_matrix as _engine_build
-from repro.core.featurex.series import BASE_METRIC_FIELDS, batch_series
-from repro.datasets.schema import SessionRecord
-from repro.timeseries.stats import (
-    SUMMARY_STATS_BASIC,
-    SUMMARY_STATS_EXTENDED,
-    summary_statistics,
+from repro.core.featurex.engine import (
+    ModelSpec,
+    build_matrix as _engine_build,
+    reference_rows,
 )
+from repro.core.featurex.series import batch_series
+from repro.datasets.schema import SessionRecord
+from repro.timeseries.stats import SUMMARY_STATS_BASIC, SUMMARY_STATS_EXTENDED
 
 __all__ = [
     "STALL_METRICS",
@@ -71,8 +71,8 @@ def _running_mean(values: np.ndarray) -> np.ndarray:
 
 
 #: Table-1 metrics available per chunk, stall-model set (10 metrics).
-#: Reference definitions — the hot paths below compute shared base
-#: series once per record instead of calling these one by one.
+#: The per-record reference definitions: :func:`reference_rows` reads
+#: them directly, and :func:`batch_series` is their padded-batch twin.
 STALL_METRICS: Dict[str, Callable[[SessionRecord], np.ndarray]] = {
     "RTT minimum": lambda r: r.rtt_min,
     "RTT average": lambda r: r.rtt_avg,
@@ -106,65 +106,6 @@ REPRESENTATION_METRICS: Dict[str, Callable[[SessionRecord], np.ndarray]] = {
 }
 
 
-def _record_series(
-    record: SessionRecord, metrics: Sequence[str]
-) -> Dict[str, np.ndarray]:
-    """The requested per-chunk series of one record.
-
-    Base metrics are the record's own arrays; derived series are
-    computed only when asked for, and ``_chunk_throughput_kbps`` is
-    computed once for "throughput" and "cumsum throughput" instead of
-    being re-derived per metric as the reference
-    ``REPRESENTATION_METRICS`` lambdas would.
-    """
-    out: Dict[str, np.ndarray] = {}
-    throughput = None
-    for metric in metrics:
-        field = BASE_METRIC_FIELDS.get(metric)
-        if field is not None:
-            out[metric] = getattr(record, field)
-        elif metric == "chunk time":
-            out[metric] = _relative_times(record)
-        elif metric == "chunk avg size":
-            out[metric] = _running_mean(record.sizes)
-        elif metric == "chunk Δsize":
-            out[metric] = np.abs(np.diff(record.sizes))
-        elif metric == "chunk Δt":
-            out[metric] = np.diff(_relative_times(record))
-        elif metric in ("throughput", "cumsum throughput"):
-            if throughput is None:
-                throughput = _chunk_throughput_kbps(record)
-            out[metric] = (
-                throughput if metric == "throughput" else np.cumsum(throughput)
-            )
-        else:
-            raise KeyError(f"unknown metric {metric!r}")
-    return out
-
-
-def _stall_record_series(record: SessionRecord) -> Dict[str, np.ndarray]:
-    """The 10 stall-model series of one record."""
-    return _record_series(record, tuple(STALL_METRICS))
-
-
-def _representation_record_series(
-    record: SessionRecord,
-) -> Dict[str, np.ndarray]:
-    """The 14 §4.2 series of one record."""
-    return _record_series(record, tuple(REPRESENTATION_METRICS))
-
-
-def _expand(
-    series: Dict[str, np.ndarray], stats: Sequence[str]
-) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for metric_name, values in series.items():
-        expanded = summary_statistics(values, stats=stats)
-        for stat_name, value in expanded.items():
-            out[f"{metric_name} {stat_name}"] = value
-    return out
-
-
 def stall_feature_names() -> List[str]:
     """The 70 stall-model feature names, in canonical order."""
     return [
@@ -185,14 +126,23 @@ def representation_feature_names() -> List[str]:
 
 def stall_features(record: SessionRecord) -> Dict[str, float]:
     """70 summary-statistic features of one session (stall model)."""
-    return _expand(_stall_record_series(record), SUMMARY_STATS_BASIC)
+    return _record_features(record, _SPECS["stall"])
 
 
 def representation_features(record: SessionRecord) -> Dict[str, float]:
     """210 summary-statistic features of one session (representation model)."""
-    return _expand(
-        _representation_record_series(record), SUMMARY_STATS_EXTENDED
-    )
+    return _record_features(record, _SPECS["representation"])
+
+
+def _record_features(record: SessionRecord, spec: ModelSpec) -> Dict[str, float]:
+    return dict(zip(spec.feature_names, reference_rows([record], spec)[0]))
+
+
+def _table_series(
+    table: Dict[str, Callable[[SessionRecord], np.ndarray]]
+) -> Callable[[SessionRecord, Sequence[str]], Dict[str, np.ndarray]]:
+    """A spec's per-record series: the requested metrics of ``table``."""
+    return lambda record, metrics: {m: table[m](record) for m in metrics}
 
 
 _SPECS: Dict[str, ModelSpec] = {
@@ -201,7 +151,7 @@ _SPECS: Dict[str, ModelSpec] = {
         stats=tuple(SUMMARY_STATS_BASIC),
         metric_names=tuple(STALL_METRICS),
         feature_names=tuple(stall_feature_names()),
-        record_series=_record_series,
+        record_series=_table_series(STALL_METRICS),
         batch_series=batch_series,
     ),
     "representation": ModelSpec(
@@ -209,7 +159,7 @@ _SPECS: Dict[str, ModelSpec] = {
         stats=tuple(SUMMARY_STATS_EXTENDED),
         metric_names=tuple(REPRESENTATION_METRICS),
         feature_names=tuple(representation_feature_names()),
-        record_series=_record_series,
+        record_series=_table_series(REPRESENTATION_METRICS),
         batch_series=batch_series,
     ),
 }

@@ -18,9 +18,10 @@ Both feature models draw on one metric vocabulary (the stall model's
 ``chunk time`` and the §4.2 model's constructed series included), so
 one builder serves both; a model asks for its own metric names.
 
-The property suite asserts this row-for-row against the
-``STALL_METRICS`` / ``REPRESENTATION_METRICS`` reference definitions,
-so the two copies cannot drift silently.
+The per-record reference (:func:`~repro.core.featurex.engine.reference_rows`)
+reads the ``STALL_METRICS`` / ``REPRESENTATION_METRICS`` tables
+directly, and the engine-equality tests compare the two paths row for
+row, so this twin cannot drift from the tables silently.
 """
 
 from __future__ import annotations

@@ -127,7 +127,7 @@ class QoEFramework:
             span.add("sessions", len(records))
             stall_classes = self.stall.predict(records)
             _MODEL_PREDICTIONS.labels(model="stall").inc(len(records))
-            if adaptive and self.representation._model is not None:
+            if adaptive and self.representation.fitted:
                 rep_classes = self.representation.predict(records)
                 switches = self.switching.predict(records)
                 _MODEL_PREDICTIONS.labels(model="representation").inc(

@@ -149,6 +149,13 @@ class Corpus:
             if r.stall_duration_s is not None and r.total_duration_s
         ]
 
+    def records_with_representation_truth(self) -> List[SessionRecord]:
+        return [
+            r
+            for r in self.records
+            if r.resolutions is not None and r.resolutions.size > 0
+        ]
+
 
 def _capped_ladder(cap: int):
     return [q for q in DASH_LADDER if q.resolution_p <= cap]

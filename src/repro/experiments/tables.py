@@ -82,6 +82,20 @@ class ClassifierTable:
         return self.report.row_percentages()
 
 
+def _cleartext_table(detector, records, protocol: str) -> ClassifierTable:
+    if protocol == "balanced-train/full-test":
+        return ClassifierTable(report=detector.train_report_, protocol=protocol)
+    return ClassifierTable(
+        report=detector.cross_validate(records), protocol="cross-validation"
+    )
+
+
+def _encrypted_table(detector, records) -> ClassifierTable:
+    return ClassifierTable(
+        report=detector.evaluate(records), protocol="cross-dataset"
+    )
+
+
 def tables3_4_stall_classifier(
     workspace: Workspace, protocol: str = "cross-validation"
 ) -> ClassifierTable:
@@ -90,42 +104,37 @@ def tables3_4_stall_classifier(
     ``protocol`` selects the paper's balanced-train/full-test protocol
     (optimistic: training instances are re-tested) or honest 10-fold CV.
     """
-    detector = workspace.stall_detector()
-    if protocol == "balanced-train/full-test":
-        report = detector.train_report_
-    else:
-        report = detector.cross_validate(workspace.stall_records())
-        protocol = "cross-validation"
-    return ClassifierTable(report=report, protocol=protocol)
+    return _cleartext_table(
+        workspace.stall_detector(), workspace.stall_records(), protocol
+    )
 
 
 def tables6_7_representation_classifier(
     workspace: Workspace, protocol: str = "cross-validation"
 ) -> ClassifierTable:
     """Tables 6-7: the average-representation classifier (cleartext HAS)."""
-    detector = workspace.representation_detector()
-    if protocol == "balanced-train/full-test":
-        report = detector.train_report_
-    else:
-        report = detector.cross_validate(workspace.representation_records())
-        protocol = "cross-validation"
-    return ClassifierTable(report=report, protocol=protocol)
+    return _cleartext_table(
+        workspace.representation_detector(),
+        workspace.representation_records(),
+        protocol,
+    )
 
 
 def tables8_9_encrypted_stall(workspace: Workspace) -> ClassifierTable:
     """Tables 8-9: the frozen stall model applied to encrypted traffic."""
-    detector = workspace.stall_detector()
-    report = detector.evaluate(workspace.encrypted_stall_records())
-    return ClassifierTable(report=report, protocol="cross-dataset")
+    return _encrypted_table(
+        workspace.stall_detector(), workspace.encrypted_stall_records()
+    )
 
 
 def tables10_11_encrypted_representation(
     workspace: Workspace,
 ) -> ClassifierTable:
     """Tables 10-11: the frozen representation model on encrypted traffic."""
-    detector = workspace.representation_detector()
-    report = detector.evaluate(workspace.encrypted_representation_records())
-    return ClassifierTable(report=report, protocol="cross-dataset")
+    return _encrypted_table(
+        workspace.representation_detector(),
+        workspace.encrypted_representation_records(),
+    )
 
 
 def section56_encrypted_switching(workspace: Workspace) -> SwitchEvaluation:

@@ -8,11 +8,12 @@ each artifact once on first use and caches it.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, Type, TypeVar
 
 import numpy as np
 
 from repro.baselines.prometheus import PrometheusBaseline
+from repro.core.detector import ForestDetector
 from repro.core.featurex import configure_cache
 from repro.core.labeling import has_variation
 from repro.core.representation import AvgRepresentationDetector
@@ -29,6 +30,8 @@ from repro.datasets.schema import SessionRecord
 from .config import FULL, ExperimentConfig
 
 __all__ = ["Workspace"]
+
+D = TypeVar("D", bound=ForestDetector)
 
 
 class Workspace:
@@ -78,59 +81,46 @@ class Workspace:
 
     def stall_records(self) -> List[SessionRecord]:
         """Cleartext records with stall ground truth (§4.1 training set)."""
-        return [
-            r
-            for r in self.cleartext_corpus().records
-            if r.stall_duration_s is not None and r.total_duration_s
-        ]
+        return self.cleartext_corpus().records_with_stall_truth()
 
     def representation_records(self) -> List[SessionRecord]:
         """Adaptive records with resolution ground truth (§4.2/§4.3)."""
-        return [
-            r
-            for r in self.adaptive_corpus().records
-            if r.resolutions is not None and r.resolutions.size > 0
-        ]
+        return self.adaptive_corpus().records_with_representation_truth()
 
     def encrypted_stall_records(self) -> List[SessionRecord]:
-        return [
-            r
-            for r in self.encrypted_corpus().records
-            if r.stall_duration_s is not None and r.total_duration_s
-        ]
+        return self.encrypted_corpus().records_with_stall_truth()
 
     def encrypted_representation_records(self) -> List[SessionRecord]:
-        return [
-            r
-            for r in self.encrypted_corpus().records
-            if r.resolutions is not None and r.resolutions.size > 0
-        ]
+        return self.encrypted_corpus().records_with_representation_truth()
 
     # ------------------------------------------------------------------
     # Fitted detectors
     # ------------------------------------------------------------------
 
-    def stall_detector(self) -> StallDetector:
-        if "stall_detector" not in self._cache:
-            detector = StallDetector(
+    def _fitted(
+        self,
+        key: str,
+        cls: Type[D],
+        records: Callable[[], List[SessionRecord]],
+    ) -> D:
+        """``cls`` fitted on ``records()`` under this config, built once."""
+        if key not in self._cache:
+            self._cache[key] = cls(
                 n_estimators=self.config.n_estimators,
                 random_state=self.config.seed,
                 n_jobs=self.config.n_jobs,
-            )
-            detector.fit(self.stall_records())
-            self._cache["stall_detector"] = detector
-        return self._cache["stall_detector"]
+            ).fit(records())
+        return self._cache[key]
+
+    def stall_detector(self) -> StallDetector:
+        return self._fitted("stall_detector", StallDetector, self.stall_records)
 
     def representation_detector(self) -> AvgRepresentationDetector:
-        if "representation_detector" not in self._cache:
-            detector = AvgRepresentationDetector(
-                n_estimators=self.config.n_estimators,
-                random_state=self.config.seed,
-                n_jobs=self.config.n_jobs,
-            )
-            detector.fit(self.representation_records())
-            self._cache["representation_detector"] = detector
-        return self._cache["representation_detector"]
+        return self._fitted(
+            "representation_detector",
+            AvgRepresentationDetector,
+            self.representation_records,
+        )
 
     def switch_detector(self) -> SwitchDetector:
         """Switch detector calibrated on the cleartext HAS corpus (§4.3)."""
@@ -144,12 +134,4 @@ class Workspace:
         return self._cache["switch_detector"]
 
     def prometheus_baseline(self) -> PrometheusBaseline:
-        if "prometheus" not in self._cache:
-            baseline = PrometheusBaseline(
-                n_estimators=self.config.n_estimators,
-                random_state=self.config.seed,
-                n_jobs=self.config.n_jobs,
-            )
-            baseline.fit(self.stall_records())
-            self._cache["prometheus"] = baseline
-        return self._cache["prometheus"]
+        return self._fitted("prometheus", PrometheusBaseline, self.stall_records)

@@ -276,7 +276,7 @@ class EarlyPredictor:
         representation = self.framework.representation
         rep_class: Optional[str] = None
         rep_conf: Optional[float] = None
-        if getattr(representation, "_model", None) is not None:
+        if representation.fitted:
             rep_class, rep_conf = self._vote(
                 representation,
                 state.representation_vector(

@@ -18,6 +18,7 @@ from typing import Dict, Union
 
 import numpy as np
 
+from repro.core.features import get_model_spec
 from repro.core.framework import QoEFramework
 from repro.faults.retry import retry_with_backoff
 from repro.core.representation import AvgRepresentationDetector
@@ -174,7 +175,7 @@ def forest_from_dict(payload: Dict) -> RandomForestClassifier:
 
 
 def _detector_to_dict(detector) -> Dict:
-    if detector._model is None:
+    if not detector.fitted:
         raise ValueError("detector is not fitted")
     return {
         "selected_indices": list(detector.selected_indices_),
@@ -186,19 +187,61 @@ def _detector_to_dict(detector) -> Dict:
     }
 
 
+def _check_selection(indices, names, scores, forest, cls) -> None:
+    """Reject a detector section its class's feature model cannot serve.
+
+    A section that passes builds exactly the columns its forest was
+    fitted on: every index is an in-range ``int``, there is one per
+    forest feature, and each name (and gain) belongs to its index —
+    so a file written by a build with another feature layout is
+    refused here rather than at the first diagnosis.
+    """
+    feature_names = get_model_spec(cls.feature_model).feature_names
+    width = len(feature_names)
+    for index in indices:
+        if type(index) is not int or not 0 <= index < width:
+            raise ValueError(
+                f"{cls.feature_model} selection index {index!r} is not a "
+                f"column of the {width} {cls.feature_model} features"
+            )
+    if len(indices) != forest.n_features_:
+        raise ValueError(
+            f"{cls.feature_model} selection has {len(indices)} indices but "
+            f"its forest was fitted on {forest.n_features_} features"
+        )
+    for what, values in (("names", names), ("scores", scores)):
+        if len(values) != len(indices):
+            raise ValueError(
+                f"{cls.feature_model} selection has {len(values)} {what} "
+                f"for {len(indices)} indices"
+            )
+    for index, name in zip(indices, names):
+        if name != feature_names[index]:
+            raise ValueError(
+                f"{cls.feature_model} selection names column {index} "
+                f"{name!r}, but this build's feature {index} is "
+                f"{feature_names[index]!r}"
+            )
+
+
 def _detector_from_dict(payload: Dict, cls):
+    indices = list(payload["selected_indices"])
+    names = list(payload["selected_names"])
+    scores = list(payload["selection_scores"])
+    forest = forest_from_dict(payload["model"])
+    _check_selection(indices, names, scores, forest, cls)
     detector = cls(
         n_estimators=payload["n_estimators"],
         random_state=payload["random_state"],
     )
-    detector.selected_indices_ = list(payload["selected_indices"])
-    detector.selected_names_ = list(payload["selected_names"])
+    detector.selected_indices_ = indices
+    detector.selected_names_ = names
     detector.selection_result_ = SelectionResult(
-        selected=list(payload["selected_indices"]),
-        scores=list(payload["selection_scores"]),
-        names=list(payload["selected_names"]),
+        selected=list(indices),
+        scores=scores,
+        names=list(names),
     )
-    detector._model = forest_from_dict(payload["model"])
+    detector._model = forest
     return detector
 
 
@@ -215,7 +258,7 @@ def framework_to_dict(framework: QoEFramework) -> Dict:
             "size_unit_bytes": framework.switching.size_unit_bytes,
         },
     }
-    if framework.representation._model is not None:
+    if framework.representation.fitted:
         payload["representation"] = _detector_to_dict(framework.representation)
     return payload
 

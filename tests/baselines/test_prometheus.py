@@ -25,7 +25,7 @@ class TestPrometheusBaseline:
         from repro.core.features import stall_feature_names
 
         names = stall_feature_names()
-        used = [names[i] for i in fitted._indices]
+        used = [names[i] for i in fitted.selected_indices_]
         assert used
         assert not any(name.startswith("chunk") for name in used)
 
@@ -41,3 +41,18 @@ class TestPrometheusBaseline:
     def test_cross_validate_not_perfect(self, fitted, stall_records):
         report = fitted.cross_validate(stall_records, n_splits=3)
         assert report.accuracy < 1.0
+
+    def test_selection_is_the_qos_block_in_column_order(self, fitted):
+        """The forest's feature draws depend on the column order."""
+        from repro.core.features import stall_feature_names
+
+        names = stall_feature_names()
+        indices = fitted.selected_indices_
+        assert indices == sorted(indices)
+        assert fitted.selected_names_ == [names[i] for i in indices]
+        assert [name for name, _ in fitted.feature_gains()] == (
+            fitted.selected_names_
+        )
+
+    def test_n_jobs_reaches_the_forest(self):
+        assert PrometheusBaseline(n_jobs=2)._model_factory().n_jobs == 2

@@ -41,20 +41,12 @@ def encrypted_corpus():
 
 @pytest.fixture(scope="session")
 def stall_records(cleartext_corpus):
-    return [
-        r
-        for r in cleartext_corpus.records
-        if r.stall_duration_s is not None and r.total_duration_s
-    ]
+    return cleartext_corpus.records_with_stall_truth()
 
 
 @pytest.fixture(scope="session")
 def adaptive_records(adaptive_corpus):
-    return [
-        r
-        for r in adaptive_corpus.records
-        if r.resolutions is not None and r.resolutions.size > 0
-    ]
+    return adaptive_corpus.records_with_representation_truth()
 
 
 @pytest.fixture(scope="session")

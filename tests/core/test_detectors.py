@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.prometheus import PrometheusBaseline
+from repro.core.features import get_model_spec
 from repro.core.representation import AvgRepresentationDetector
 from repro.core.stall import StallDetector
 from repro.core.switching import SwitchDetector
@@ -19,6 +21,109 @@ def fitted_representation(adaptive_records):
     return AvgRepresentationDetector(n_estimators=15, random_state=0).fit(
         adaptive_records
     )
+
+
+#: Every ForestDetector declaration with the records it trains on.
+_DETECTORS = {
+    "stall": (StallDetector, "stall_records"),
+    "representation": (AvgRepresentationDetector, "adaptive_records"),
+    "prometheus": (PrometheusBaseline, "stall_records"),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_DETECTORS))
+def contract_case(request):
+    """(class, training records, fitted detector) per declaration."""
+    cls, records_fixture = _DETECTORS[request.param]
+    records = request.getfixturevalue(records_fixture)
+    return cls, records, cls(n_estimators=10, random_state=0).fit(records)
+
+
+class TestDetectorContract:
+    """The pipeline every ForestDetector declaration inherits."""
+
+    def test_unfitted_raises(self, contract_case):
+        cls, records, _ = contract_case
+        detector = cls()
+        assert not detector.fitted
+        for call in (
+            lambda: detector.predict(records[:3]),
+            lambda: detector.predict_proba(records[:3]),
+            lambda: detector.evaluate(records),
+            lambda: detector.cross_validate(records),
+            detector.feature_gains,
+        ):
+            with pytest.raises(RuntimeError):
+                call()
+
+    def test_fit_empty_raises(self, contract_case):
+        cls, _, _ = contract_case
+        with pytest.raises(ValueError):
+            cls().fit([])
+
+    def test_proba_argmax_matches_predict(self, contract_case):
+        _, records, fitted = contract_case
+        assert fitted.fitted
+        proba = fitted.predict_proba(records[:15])
+        np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+        classes = fitted._model.classes_
+        predicted = fitted.predict(records[:15])
+        assert (classes[np.argmax(proba, axis=1)] == predicted).all()
+
+    def test_cross_validate_singleton_class(self, contract_case):
+        cls, records, fitted = contract_case
+        *others, singleton = cls.class_labels
+        labels = np.array(
+            [others[i % len(others)] for i in range(len(records))],
+            dtype=object,
+        )
+        labels[0] = singleton
+        report = fitted.cross_validate(records, labels=labels)
+        supports = {row.label: row.support for row in report.classes}
+        assert supports[singleton] == 1
+        assert sum(supports.values()) == len(records)
+
+    def test_feature_gains_and_evaluate(self, contract_case):
+        cls, records, fitted = contract_case
+        gains = fitted.feature_gains()
+        assert [name for name, _ in gains] == fitted.selected_names_
+        assert all(gain >= 0 for _, gain in gains)
+        report = fitted.evaluate(records)
+        assert report.labels == list(cls.class_labels)
+        assert 0.0 < report.accuracy <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["stall", "representation"])
+class TestSelectionModes:
+    """The selection modes of the two paper detectors."""
+
+    def test_invalid_selection_mode(self, kind):
+        cls, _ = _DETECTORS[kind]
+        with pytest.raises(ValueError):
+            cls(feature_selection="lasso")
+
+    def test_default_budget(self, kind):
+        cls, _ = _DETECTORS[kind]
+        assert cls().n_features == cls.default_n_features
+        assert cls(n_features=3).n_features == 3
+
+    def test_infogain_mode(self, kind, request):
+        cls, records_fixture = _DETECTORS[kind]
+        records = request.getfixturevalue(records_fixture)
+        detector = cls(
+            n_estimators=5, feature_selection="infogain", n_features=5
+        ).fit(records)
+        assert len(detector.selected_names_) == 5
+        assert [name for name, _ in detector.feature_gains()] == (
+            detector.selected_names_
+        )
+
+    def test_none_mode_uses_all_features(self, kind, request):
+        cls, records_fixture = _DETECTORS[kind]
+        records = request.getfixturevalue(records_fixture)
+        detector = cls(n_estimators=5, feature_selection="none").fit(records)
+        width = len(get_model_spec(cls.feature_model).feature_names)
+        assert detector.selected_indices_ == list(range(width))
 
 
 class TestStallDetector:

@@ -21,10 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.features import (
-    REPRESENTATION_METRICS,
-    STALL_METRICS,
-    _representation_record_series,
-    _stall_record_series,
     build_representation_matrix,
     build_stall_matrix,
     get_model_spec,
@@ -373,26 +369,6 @@ class TestPaddedSummary:
             [np.empty((0, 0))], [np.empty(0, dtype=np.int64)], [("min",)]
         )
         assert out[0].shape == (0, 1)
-
-
-class TestRecordSeriesDriftGuard:
-    """The shared-base-series builders must track the METRICS dicts."""
-
-    def test_stall_series_match_reference_lambdas(self, stall_records):
-        for record in stall_records[:10]:
-            fast = _stall_record_series(record)
-            assert set(fast) == set(STALL_METRICS)
-            for name, fn in STALL_METRICS.items():
-                assert np.array_equal(fast[name], fn(record)), name
-
-    def test_representation_series_match_reference_lambdas(
-        self, adaptive_records
-    ):
-        for record in adaptive_records[:10]:
-            fast = _representation_record_series(record)
-            assert set(fast) == set(REPRESENTATION_METRICS)
-            for name, fn in REPRESENTATION_METRICS.items():
-                assert np.array_equal(fast[name], fn(record)), name
 
 
 # ----------------------------------------------------------------------

@@ -84,6 +84,24 @@ class TestReload:
         assert manager.reload() is False
         assert manager.version == 1
 
+    def test_unservable_section_keeps_current_model(
+        self, model_path, stall_records
+    ):
+        """A re-checksummed file whose stall section names a column the
+        feature model does not have never replaces the serving model."""
+        from repro.persistence import payload_checksum
+
+        manager = ModelManager(model_path)
+        serving_before = manager.current
+        payload = json.loads(model_path.read_text())
+        payload["stall"]["selected_indices"][0] = 500
+        payload["payload_sha256"] = payload_checksum(payload)
+        model_path.write_text(json.dumps(payload))
+        assert manager.reload() is False
+        assert manager.version == 1
+        assert manager.current is serving_before
+        assert manager.current.diagnose(stall_records[:3], adaptive=False)
+
     def test_missing_file_keeps_current_model(self, model_path):
         manager = ModelManager(model_path)
         model_path.unlink()

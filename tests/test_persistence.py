@@ -252,3 +252,46 @@ class TestLoadValidation:
     def test_non_dict_payload_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             framework_from_dict(["not", "a", "dict"])
+
+    # A section that passes the checksum must still be servable: each
+    # case below loaded at one time and failed at the first diagnose
+    # (or, for the dropped name, diagnosed under a wrong name silently).
+
+    def test_out_of_range_index_rejected(self, framework):
+        payload = framework_to_dict(framework)
+        payload["stall"]["selected_indices"][0] = 500
+        with pytest.raises(ValueError, match="500"):
+            framework_from_dict(payload)
+
+    def test_index_count_must_match_forest(self, framework):
+        payload = framework_to_dict(framework)
+        payload["stall"]["selected_indices"].pop()
+        with pytest.raises(ValueError, match="fitted on"):
+            framework_from_dict(payload)
+
+    def test_name_count_must_match_indices(self, framework):
+        payload = framework_to_dict(framework)
+        payload["representation"]["selected_names"].pop()
+        with pytest.raises(ValueError, match="names for"):
+            framework_from_dict(payload)
+
+    def test_score_count_must_match_indices(self, framework):
+        """A lost gain would silently shorten ``feature_gains()``."""
+        payload = framework_to_dict(framework)
+        payload["stall"]["selection_scores"].pop()
+        with pytest.raises(ValueError, match="scores for"):
+            framework_from_dict(payload)
+
+    def test_names_must_match_this_feature_layout(self, framework):
+        """A file from a build with another feature layout is refused."""
+        payload = framework_to_dict(framework)
+        names = payload["stall"]["selected_names"]
+        names[0], names[1] = names[1], names[0]
+        with pytest.raises(ValueError, match="this build's feature"):
+            framework_from_dict(payload)
+
+    def test_non_integer_index_rejected(self, framework):
+        payload = framework_to_dict(framework)
+        payload["stall"]["selected_indices"][0] = 1.0
+        with pytest.raises(ValueError, match="not a column"):
+            framework_from_dict(payload)

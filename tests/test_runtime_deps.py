@@ -39,7 +39,7 @@ SCRIPT = textwrap.dedent(
     adaptive = generate_adaptive_corpus(40, seed=4)
     framework = QoEFramework(random_state=0, n_estimators=4).fit(
         cleartext.records_with_stall_truth(),
-        [r for r in adaptive.records if r.resolutions is not None],
+        adaptive.records_with_representation_truth(),
     )
     service = QoEService(framework, n_shards=2, shard_backend="thread")
     service.start()
