@@ -560,7 +560,7 @@ def main(argv=None) -> int:
         metavar="SPEC",
         help=(
             "shard placement for --shard-backend socket: 'local:N' "
-            "(spawned loopback processes, the default), 'inproc:N' "
+            "(loopback worker processes, the default), 'inproc:N' "
             "(in-process threads over loopback), or "
             "'0=host:port,1=host:port,...' for standalone "
             "netshard-worker processes"
@@ -573,7 +573,7 @@ def main(argv=None) -> int:
         help=(
             "shared HMAC secret for standalone-worker placements — must "
             "match the workers' --auth-key-file (REPRO_NETSHARD_AUTHKEY "
-            "is the env fallback); spawned/in-process placements "
+            "is the env fallback); local/in-process placements "
             "generate their own keys automatically"
         ),
     )

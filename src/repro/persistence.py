@@ -177,24 +177,29 @@ def forest_from_dict(payload: Dict) -> RandomForestClassifier:
 def _detector_to_dict(detector) -> Dict:
     if not detector.fitted:
         raise ValueError("detector is not fitted")
+    result = detector.selection_result_
     return {
         "selected_indices": list(detector.selected_indices_),
         "selected_names": list(detector.selected_names_),
-        "selection_scores": list(detector.selection_result_.scores),
+        # The selection result's own order (a ranking for "none"), which
+        # need not be the column order of the two lists above.
+        "selection_names": list(result.names),
+        "selection_scores": list(result.scores),
         "n_estimators": detector.n_estimators,
         "random_state": detector.random_state,
         "model": forest_to_dict(detector._model),
     }
 
 
-def _check_selection(indices, names, scores, forest, cls) -> None:
+def _check_selection(indices, names, result_names, scores, forest, cls) -> None:
     """Reject a detector section its class's feature model cannot serve.
 
     A section that passes builds exactly the columns its forest was
     fitted on: every index is an in-range ``int``, there is one per
-    forest feature, and each name (and gain) belongs to its index —
-    so a file written by a build with another feature layout is
-    refused here rather than at the first diagnosis.
+    forest feature, each name belongs to its index, and the selection
+    result scores exactly those names, one gain each — so a file
+    written by a build with another feature layout is refused here
+    rather than at the first diagnosis.
     """
     feature_names = get_model_spec(cls.feature_model).feature_names
     width = len(feature_names)
@@ -209,7 +214,11 @@ def _check_selection(indices, names, scores, forest, cls) -> None:
             f"{cls.feature_model} selection has {len(indices)} indices but "
             f"its forest was fitted on {forest.n_features_} features"
         )
-    for what, values in (("names", names), ("scores", scores)):
+    for what, values in (
+        ("names", names),
+        ("result names", result_names),
+        ("scores", scores),
+    ):
         if len(values) != len(indices):
             raise ValueError(
                 f"{cls.feature_model} selection has {len(values)} {what} "
@@ -222,24 +231,33 @@ def _check_selection(indices, names, scores, forest, cls) -> None:
                 f"{name!r}, but this build's feature {index} is "
                 f"{feature_names[index]!r}"
             )
+    if sorted(result_names) != sorted(names):
+        raise ValueError(
+            f"{cls.feature_model} selection result scores names other "
+            "than its selected columns"
+        )
 
 
 def _detector_from_dict(payload: Dict, cls):
     indices = list(payload["selected_indices"])
     names = list(payload["selected_names"])
+    # Files written before "selection_names" existed stored the result
+    # in column order; that holds for every mode but "none".
+    result_names = list(payload.get("selection_names", names))
     scores = list(payload["selection_scores"])
     forest = forest_from_dict(payload["model"])
-    _check_selection(indices, names, scores, forest, cls)
+    _check_selection(indices, names, result_names, scores, forest, cls)
     detector = cls(
         n_estimators=payload["n_estimators"],
         random_state=payload["random_state"],
     )
     detector.selected_indices_ = indices
     detector.selected_names_ = names
+    column = dict(zip(names, indices))
     detector.selection_result_ = SelectionResult(
-        selected=list(indices),
+        selected=[column[name] for name in result_names],
         scores=scores,
-        names=list(names),
+        names=result_names,
     )
     detector._model = forest
     return detector

@@ -1,7 +1,7 @@
 """Socket-backed shard workers: the one remote-shard transport.
 
 This module moves shards off the serving process — onto other cores
-(``placement="local:N"`` spawns loopback worker processes, which is
+(``placement="local:N"`` starts loopback worker processes, which is
 also what ``shard_backend="process"`` means) or other machines.  The
 transport is a length-prefixed, CRC-checked socket frame
 (:mod:`repro.serving.framing`) and *where* each worker runs is a
@@ -69,13 +69,18 @@ design is built around them:
 
 Worker deployment shapes (all speak the identical protocol):
 
-* ``start_inproc_worker`` — a daemon *thread* serving loopback; zero
-  spawn cost, CI-friendly, shares the parent registry (so it ships no
-  registry deltas).
-* spawn-local — a child *process* over loopback (the router does this
-  for ``placement="local:N"``), true multi-core diagnosis.
+* ``start_inproc_worker`` — a daemon *thread* serving loopback; no
+  process to start, CI-friendly, shares the parent registry (so it
+  ships no registry deltas).
+* local — a child *process* over loopback (the router does this for
+  ``placement="local:N"``), true multi-core diagnosis.  Children fork
+  from one ``multiprocessing`` forkserver per service process that has
+  already imported this module, so only the first launch in a process
+  pays the import (see :func:`_default_start_method`).  A local worker
+  exits once the process that launched it is gone.
 * standalone — ``python -m repro netshard-worker --listen HOST:PORT``;
-  the parent ships the model inside ``hello`` at connect time.
+  the parent ships the model inside ``hello`` at connect time.  It
+  outlives any parent by design.
 
 Every (re)launch and every remote ``hello`` ships the model the
 parent's :class:`~repro.serving.models.ModelManager` holds at that
@@ -91,6 +96,7 @@ loopback/local workers only.
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.connection
 import os
 import secrets
 import socket
@@ -110,6 +116,7 @@ from repro.obs import (
     get_recorder,
     get_registry,
     registry_state_delta,
+    trace,
 )
 from repro.online.early import ConvergenceReport, ProvisionalDiagnosis
 from repro.realtime.monitor import Alarm, SubscriberHealth
@@ -157,28 +164,56 @@ _SEND_BATCH = 256
 _POLL_S = 0.02
 #: A connection that never completes its hello is dropped after this.
 _HELLO_TIMEOUT_S = 5.0
-#: A live spawned worker must report its bound port within this.
+#: A live local worker must report its bound port within this.
 _PORT_DEADLINE_S = 30.0
 #: How long a restart waits for a dead shard's receiver to return.
 _DEAD_RECEIVER_JOIN_S = 5.0
+#: What the forkserver imports once, before it forks any worker.
+_PRELOAD = ["repro.serving.netshard"]
 
 
 def _default_start_method() -> str:
-    """``spawn`` where it can work, ``fork`` where only fork can.
+    """``forkserver`` where it can work, ``fork`` where only fork can.
 
-    Spawn is the safe default: a fork taken while sibling shards'
-    sender/receiver threads hold registry or queue locks could deadlock
-    the child.  But spawn re-imports the parent's ``__main__`` from its
-    file path — when the driver came from stdin or ``exec`` (heredoc
-    scripts, notebooks) there is no such file and every child would die
-    on startup — so those parents fall back to fork.
+    A forkserver is a clean single-threaded process that imports
+    :data:`_PRELOAD` once and then forks every local worker of this
+    process: a shard start, a supervisor restart and the next service's
+    launch all get an already-imported worker.  A plain fork taken while
+    sibling shards' sender/receiver threads hold registry or queue locks
+    could deadlock the child; the forkserver's fork cannot.
+
+    Like spawn, a forkserver child re-imports the parent's ``__main__``
+    from its file path.  When the driver came from stdin or ``exec``
+    (heredoc scripts, notebooks) there is no such file and every child
+    would die on startup, so those parents fall back to fork.  Where the
+    platform has no forkserver, spawn.
+
+    The preload is imported by the forkserver's own interpreter, which
+    finds ``repro`` through ``PYTHONPATH`` or the installed package, not
+    through the parent's ``sys.path``.  A parent that reaches ``repro``
+    only by editing ``sys.path`` gets no preload: each child then
+    imports it for itself, at spawn's cost, and works the same.  (So a
+    parent should not put one copy of ``repro`` on ``PYTHONPATH`` and
+    import another through ``sys.path``: its workers would run the
+    preloaded copy.)
     """
-    if "spawn" not in mp.get_all_start_methods():
-        return "fork"
     main_file = getattr(sys.modules.get("__main__"), "__file__", None)
     if main_file is not None and not os.path.exists(main_file):
         return "fork"
+    if "forkserver" in mp.get_all_start_methods():
+        return "forkserver"
     return "spawn"
+
+
+def _worker_context():
+    """The multiprocessing context local workers start from."""
+    method = _default_start_method()
+    context = mp.get_context(method)
+    if method == "forkserver":
+        # Never "__main__": an unguarded script would then run inside
+        # the forkserver itself.
+        context.set_forkserver_preload(_PRELOAD)
+    return context
 
 
 class ShardUnreachable(RuntimeError):
@@ -191,7 +226,7 @@ class ShardConnectionLost(RuntimeError):
 
 @dataclass
 class NetShardConfig:
-    """Everything a socket shard worker needs, picklable for spawn/hello.
+    """Everything a socket shard worker needs, picklable for launch/hello.
 
     The shard's :class:`ShardWorker` knobs plus the fault plan's
     remaining budgets: ``kill_at_entry`` / ``kill_times`` (the parent
@@ -248,7 +283,7 @@ class SocketOpts:
     #: Shared secret for the HMAC handshake to *remote* (standalone)
     #: workers — must match the worker's ``--auth-key-file`` /
     #: ``REPRO_NETSHARD_AUTHKEY``.  ``None`` degrades to an empty key
-    #: (unauthenticated): loopback/trusted links only.  Spawned and
+    #: (unauthenticated): loopback/trusted links only.  Local and
     #: in-process workers ignore this; the parent generates a random
     #: per-worker key and hands it over out of band at launch.
     auth_key: Optional[bytes] = None
@@ -621,6 +656,12 @@ def run_worker(
     worker failure (``dying``) — the caller turns that into an exit
     code or, for in-process workers, just lets the thread end.
 
+    A worker that ``multiprocessing`` started (the local placement)
+    waits for ``accept`` together with its parent's sentinel and
+    returns 0 once the service process that launched it is gone, so a
+    killed service leaves no worker listening.  A standalone worker has
+    no such parent and keeps listening.
+
     Every accepted connection must pass the HMAC challenge
     (:func:`~repro.serving.framing.deliver_challenge`) over
     ``auth_key`` before a single frame — hence before any pickle —
@@ -644,7 +685,7 @@ def run_worker(
         registry shipping (the metrics are already local).
     auth_key:
         Shared secret for the per-connection HMAC handshake.  The
-        router generates one per spawned/in-process worker; standalone
+        router generates one per local/in-process worker; standalone
         workers take it from ``--auth-key-file`` or
         ``REPRO_NETSHARD_AUTHKEY``.
     """
@@ -655,6 +696,7 @@ def run_worker(
     if config is not None and in_process:
         config = replace(config, ship_registry=False)
     st = _WorkerState(config)
+    owner = None if in_process else mp.parent_process()
     _LOG.info(
         "netshard_worker_listening",
         host=host,
@@ -663,6 +705,11 @@ def run_worker(
     )
     try:
         while True:
+            if owner is not None:
+                ready = mp.connection.wait([listener, owner.sentinel])
+                if owner.sentinel in ready:
+                    _LOG.warning("netshard_worker_orphaned", port=bound)
+                    return 0
             conn, peer = listener.accept()
             try:
                 # Authenticate before constructing the frame reader:
@@ -704,8 +751,8 @@ def run_worker(
 
 
 def _worker_process_main(host, port, config, port_conn, auth_key) -> None:
-    """Spawn-local process entry point (module top level: spawn-safe)."""
-    get_registry().reset()  # fresh under spawn; zero inherited state under fork
+    """Local worker process entry point (module top level: picklable)."""
+    get_registry().reset()  # zero what the preload or a fork left behind
     try:
         code = run_worker(
             host,
@@ -724,8 +771,8 @@ def start_inproc_worker(
 ) -> Tuple[threading.Thread, int]:
     """A worker serving loopback from a daemon thread of this process.
 
-    The CI-friendly deployment shape: no spawn cost, no pickled model
-    hand-off, same wire protocol.  Returns ``(thread, port)``.
+    The CI-friendly deployment shape: no process start, no pickled
+    model hand-off, same wire protocol.  Returns ``(thread, port)``.
     """
     ready = threading.Event()
     holder: List[int] = []
@@ -806,10 +853,11 @@ class SocketShardWorker:
     queue:
         Parent-side ingest queue; survives restarts and reconnects.
     mode:
-        ``"spawn"`` — fork/spawn a worker process over loopback and
-        connect to it; ``"inproc"`` — run the worker as a thread of
-        this process; ``"remote"`` — connect to ``address``, shipping
-        the config (model included) inside ``hello``.
+        ``"spawn"`` — start a worker process over loopback (from the
+        forkserver, see :func:`_default_start_method`) and connect to
+        it; ``"inproc"`` — run the worker as a thread of this process;
+        ``"remote"`` — connect to ``address``, shipping the config
+        (model included) inside ``hello``.
     address:
         ``(host, port)`` of an externally managed worker
         (``mode="remote"`` only).
@@ -842,7 +890,6 @@ class SocketShardWorker:
         faults=None,
         opts: Optional[SocketOpts] = None,
         slow_link: Optional[Callable[[int], float]] = None,
-        start_method: Optional[str] = None,
         models: Optional[ModelManager] = None,
     ) -> None:
         if mode not in ("spawn", "inproc", "remote"):
@@ -863,11 +910,7 @@ class SocketShardWorker:
         self._faults = faults
         self._slow_link = slow_link
         self._models = models
-        self._mp = (
-            mp.get_context(start_method or _default_start_method())
-            if mode == "spawn"
-            else None
-        )
+        self._mp = _worker_context() if mode == "spawn" else None
         self.monitor = _RemoteMonitorView()
         self.batcher = _RemoteBatcherView()
         self.diagnoses: List[SessionDiagnosis] = []
@@ -889,8 +932,8 @@ class SocketShardWorker:
         self._quarantined_base = 0
         self._token = f"svc-{os.getpid()}-{id(self):x}"
         # Self-launched workers get a fresh random key handed over out
-        # of band (spawn args / thread kwargs) — authenticated with
-        # zero configuration.  Remote workers must share opts.auth_key;
+        # of band (pickled process args / thread kwargs) — authenticated
+        # with zero configuration.  Remote workers must share opts.auth_key;
         # None degrades to the empty (unauthenticated) key, documented
         # as loopback/trusted-link only.
         self._auth_key = (
@@ -953,8 +996,7 @@ class SocketShardWorker:
         self.state = "running"
         self.heartbeat_s = time.monotonic()
         try:
-            self._launch_worker()
-            self._establish(resume=False)
+            self._launch_and_connect()
         except (ShardUnreachable, FrameError, OSError) as exc:
             # Never raise out of start(): an unreachable shard is a
             # *supervised* failure — restart budget, then circuit.
@@ -991,17 +1033,22 @@ class SocketShardWorker:
         self.monitor.tracker.open_sessions = 0
         self.batcher.pending = 0
         with self._unacked_lock:
+            # The sender may have pulled batches after _handle_death
+            # marked the blast radius: they sit in _unacked, reached no
+            # live worker, and are dropped here with the dead worker's
+            # state.  Every unacked entry's subscriber is in
+            # _seen_subscribers, so marking it accounts for them all.
+            if self._faults is not None and self._seen_subscribers:
+                self._faults.mark_affected(self._seen_subscribers)
             # The replacement worker starts empty at recv_seq 0: reset
             # the whole sequence space with it.  A stale _acked_seq
             # would make the first reconnect after the restart read as
             # "worker state lost" (recv_seq < acked) and falsely mark
-            # every historically seen subscriber fault-affected —
-            # _handle_death already marked the ones the dead worker
-            # actually held.
+            # every historically seen subscriber fault-affected.
             self._unacked.entries.clear()
             self._seq = 0
             self._acked_seq = 0
-        self._seen_subscribers.clear()
+            self._seen_subscribers.clear()
         self._worker_incarnation = None
         self._received = {"diagnoses": 0, "alarms": 0, "provisional": 0, "letters": 0}
         self._stop = threading.Event()
@@ -1012,8 +1059,7 @@ class SocketShardWorker:
         self.state = "running"
         self.heartbeat_s = time.monotonic()
         try:
-            self._launch_worker()
-            self._establish(resume=False)
+            self._launch_and_connect()
         except (ShardUnreachable, FrameError, OSError) as exc:
             self.error = ShardUnreachable(
                 f"shard {self.index} unreachable on restart: {exc}"
@@ -1064,6 +1110,13 @@ class SocketShardWorker:
             config.framework = self._models.current
         return config
 
+    def _launch_and_connect(self) -> None:
+        """Launch the worker (none in remote mode) and complete its hello."""
+        with trace("serving.shard_launch") as span:
+            span.add("launches", 1)
+            self._launch_worker()
+            self._establish(resume=False)
+
     def _launch_worker(self) -> None:
         if self.mode == "remote":
             return
@@ -1089,7 +1142,7 @@ class SocketShardWorker:
         self._process = process
 
     def _await_port(self, process, conn) -> int:
-        """The spawned worker's bound port; fail fast if it died first.
+        """The local worker's bound port; fail fast if it died first.
 
         Polls in short slices and checks the child's exit code between
         them, so a worker that dies at bootstrap is reported at once
@@ -1113,8 +1166,8 @@ class SocketShardWorker:
         raise ShardUnreachable(
             f"shard {self.index} worker process exited with code "
             f"{process.exitcode} before reporting its port; the likely "
-            "cause is a spawning script without an "
-            "`if __name__ == \"__main__\":` guard, whose spawned children "
+            "cause is a launching script without an "
+            "`if __name__ == \"__main__\":` guard, whose worker processes "
             "re-run it and die at bootstrap"
         )
 
@@ -1525,8 +1578,13 @@ class SocketShardWorker:
             self._kill_times_left = max(0, self._kill_times_left - kills)
             if self._faults is not None:
                 self._faults.note_remote_kills(self.index, kills)
-        if self._faults is not None and self._seen_subscribers:
-            self._faults.mark_affected(self._seen_subscribers)
+        if self._faults is not None:
+            # A snapshot under the lock: the sender may still be adding
+            # subscribers (restart() marks those).
+            with self._unacked_lock:
+                seen = set(self._seen_subscribers)
+            if seen:
+                self._faults.mark_affected(seen)
         detail = report.get("error") or repr(cause)
         self.error = ShardConnectionLost(
             f"shard {self.index} connection lost beyond recovery: {detail}"

@@ -6,13 +6,17 @@ Remote shards separate *what runs where* (this module's
 :class:`SocketShardRouter`).  Three placement shapes, one spec grammar:
 
 ``local:N``
-    Spawn ``N`` worker *processes* over loopback — the multi-core
+    Start ``N`` worker *processes* over loopback — the multi-core
     deployment.  ``QoEService(shard_backend="process")`` is this
-    placement under another name.
+    placement under another name.  The workers fork from one
+    forkserver per service process that has imported the worker code
+    once, so the first launch in a process costs about one import and
+    every later one (a restart, the next service) only a fork.  They
+    exit when the service process does, even when it is killed.
 ``inproc:N``
     Run ``N`` workers as daemon *threads* of this process, still over
-    a real loopback socket — zero spawn cost, CI-friendly, exercises
-    every byte of the wire protocol.
+    a real loopback socket — no process to start, CI-friendly,
+    exercises every byte of the wire protocol.
 ``0=host:port,1=host:port,...``
     Connect to externally managed workers (``python -m repro
     netshard-worker --listen HOST:PORT``), one address per shard
@@ -202,7 +206,6 @@ class SocketShardRouter:
         on_alarm: Optional[Callable[[Alarm], None]] = None,
         faults=None,
         registry: Optional[MetricsRegistry] = None,
-        start_method: Optional[str] = None,
         early_after_chunks: Optional[int] = None,
         early_confidence: float = 0.0,
         on_provisional=None,
@@ -265,7 +268,6 @@ class SocketShardRouter:
                     faults=faults,
                     opts=socket_opts,
                     slow_link=slow_link,
-                    start_method=start_method,
                     models=models,
                 )
             )

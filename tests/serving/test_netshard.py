@@ -24,8 +24,10 @@ from repro.obs import get_registry
 from repro.realtime.monitor import RealTimeMonitor
 from repro.realtime.tracker import OnlineSessionTracker
 from repro.serving import QoEService, run_worker
+from repro.serving.dlq import DeadLetterQueue
 from repro.serving.framing import FrameClosed
-from repro.serving.netshard import SocketOpts
+from repro.serving.netshard import NetShardConfig, SocketOpts, SocketShardWorker
+from repro.serving.queue import BoundedQueue, QueueEmpty
 from repro.serving.replay import synthetic_trace
 from repro.serving.shard import shard_index
 
@@ -779,6 +781,93 @@ class TestRestartResetsWatermarks:
         assert handle._acked_seq <= 0
 
 
+class _ParkingQueue(BoundedQueue):
+    """Hands out ``first`` entries as one batch, then parks the next
+    blocking ``get`` until ``release`` is set.
+
+    The sender pulls a batch with one blocking ``get`` and then
+    ``get(timeout=0)`` calls; refusing the first zero-timeout call
+    after ``first`` entries ships the batch that holds the kill entry,
+    and the next blocking call is then parked inside ``get``, past the
+    sender's connected check, until the test releases it.
+    """
+
+    def __init__(self, first, release, **kwargs):
+        super().__init__(**kwargs)
+        self._left = first
+        self._release = release
+        self.after_release = 0
+
+    def get(self, timeout=None):
+        if self._left == 0:
+            if timeout == 0:
+                raise QueueEmpty("the batch ends at the kill entry")
+            self._release.wait(30.0)
+            self._left = -1
+        entry = super().get(timeout=timeout)
+        if self._left > 0:
+            self._left -= 1
+        elif self._left < 0:
+            self.after_release += 1
+        return entry
+
+
+class TestRestartAccountsForPostDeathPulls:
+    def test_batch_pulled_after_death_marks_its_subscribers(
+        self, serving_framework
+    ):
+        """The sender can pull one more batch after ``_handle_death``
+        marked the blast radius; ``restart()`` drops it with the dead
+        worker's state, so it must mark its subscribers too."""
+        trace = synthetic_trace(20, seed=17, subscribers=8)
+        first = trace[:12]
+        before = {entry.subscriber_id for entry in first}
+        # Few enough late entries for the sender's one post-death batch.
+        late = [e for e in trace if e.subscriber_id not in before][:100]
+        assert late
+        faults = FaultInjector(
+            FaultPlan(seed=0, kill_shard=0, kill_at_entry=len(first), kill_times=1)
+        )
+        kill_at, kill_times = faults.kill_spec_for(0)
+        died = threading.Event()
+        queue = _ParkingQueue(
+            len(first), died, capacity=len(trace), policy="block", name="park"
+        )
+        for entry in first + late:
+            queue.put(entry)
+        handle = SocketShardWorker(
+            config=NetShardConfig(
+                index=0,
+                framework=serving_framework,
+                kill_at_entry=kill_at,
+                kill_times=kill_times,
+            ),
+            queue=queue,
+            dead_letters=DeadLetterQueue(),
+            mode="inproc",
+            faults=faults,
+        )
+        handle_death = handle._handle_death
+
+        def death_then_release(cause):
+            handle_death(cause)
+            died.set()
+
+        handle._handle_death = death_then_release
+        handle.start()
+        assert died.wait(30.0), "the injected kill never surfaced"
+        assert faults.kills_fired == 1
+        handle.restart()  # joins the sender: its late batch is unacked
+        try:
+            assert queue.after_release == len(late)
+            late_subscribers = {entry.subscriber_id for entry in late}
+            assert late_subscribers <= faults.affected_subscribers
+        finally:
+            queue.close()
+            handle.join(10.0)
+        assert handle.state == "stopped"
+
+
 class TestPlacementValidation:
     def test_placement_requires_socket_backend(self, serving_framework):
         with pytest.raises(ValueError, match="socket"):
@@ -861,3 +950,152 @@ class TestBootstrapDeath:
         assert error_type == "ShardUnreachable"
         assert "exited with code" in message
         assert "__main__" in message
+
+
+class TestDefaultStartMethod:
+    def test_file_main_uses_the_forkserver(self, monkeypatch, tmp_path):
+        import multiprocessing
+        import sys
+        import types
+
+        from repro.serving.netshard import _default_start_method
+
+        if "forkserver" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no forkserver on this platform")
+        script = tmp_path / "driver.py"
+        script.write_text("")
+        main = types.ModuleType("__main__")
+        main.__file__ = str(script)
+        monkeypatch.setitem(sys.modules, "__main__", main)
+        assert _default_start_method() == "forkserver"
+
+    def test_main_without_a_file_falls_back_to_fork(self, monkeypatch):
+        import sys
+        import types
+
+        from repro.serving.netshard import _default_start_method
+
+        main = types.ModuleType("__main__")
+        main.__file__ = "<stdin>"
+        monkeypatch.setitem(sys.modules, "__main__", main)
+        assert _default_start_method() == "fork"
+
+
+class TestLaunchSpan:
+    def test_every_launch_is_one_span(self, serving_framework):
+        from repro.obs.tracing import Tracer, set_tracer
+
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            for _ in range(2):
+                service = QoEService(
+                    serving_framework,
+                    n_shards=2,
+                    shard_backend="socket",
+                    placement="inproc:2",
+                )
+                with service:
+                    service.submit_many(synthetic_trace(4, seed=3, subscribers=2))
+        finally:
+            set_tracer(previous)
+        (span,) = [r for r in tracer.roots() if r.name == "serving.shard_launch"]
+        assert span.count == 4
+        assert span.counters == {"launches": 4.0}
+
+
+def _running(pid):
+    """Whether ``pid`` names a process that has not exited (zombies have)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _group_members(pgid):
+    """Running processes of process group ``pgid``."""
+    import os
+
+    members = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(name))
+    return members
+
+
+@pytest.mark.skipif(
+    not __import__("os").path.isdir("/proc"), reason="reads /proc"
+)
+class TestOrphanedWorkerExits:
+    """A local worker whose service process is killed does not keep
+    listening: it waits for ``accept`` together with its parent's
+    sentinel and exits when the parent is gone."""
+
+    def test_sigkilled_service_leaves_no_process(
+        self, serving_framework, tmp_path
+    ):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+        from repro.persistence import save_framework
+
+        model = tmp_path / "model.json"
+        save_framework(serving_framework, model)
+        script = tmp_path / "service.py"
+        script.write_text(textwrap.dedent(f"""
+            import time
+            from repro.persistence import load_framework
+            from repro.serving import QoEService
+
+            if __name__ == "__main__":
+                service = QoEService(
+                    load_framework({str(model)!r}), n_shards=1,
+                    shard_backend="socket", placement="local:1",
+                )
+                service.start()
+                print("WORKER", service._shards[0]._process.pid, flush=True)
+                time.sleep(120)
+        """))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
+            text=True, env=env, start_new_session=True,
+        )
+        worker = None
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("WORKER "), line
+            worker = int(line.split()[1])
+            assert _running(worker)
+            proc.kill()
+            proc.wait(10)
+            deadline = time.monotonic() + 5.0
+            while _group_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker), "the orphaned worker kept running"
+            assert _group_members(proc.pid) == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(10)
+            proc.stdout.close()
+            for pid in _group_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro import QoEFramework
+from repro.baselines.prometheus import PrometheusBaseline
+from repro.core.representation import AvgRepresentationDetector
+from repro.core.stall import StallDetector
 from repro.ml.forest import RandomForestClassifier
 from repro.persistence import (
+    _detector_from_dict,
+    _detector_to_dict,
     forest_from_dict,
     forest_to_dict,
     framework_from_dict,
@@ -187,6 +192,56 @@ class TestFrameworkRoundtrip:
         clone = load_framework(path)
         assert clone.stall.selected_names_ == framework.stall.selected_names_
         assert clone.stall.feature_gains()   # selection result restored
+
+
+#: Every ForestDetector declaration and selection mode, with the
+#: records it trains on.  The baseline's selection is fixed.
+_ROUND_TRIPS = [
+    (StallDetector, "cfs", "stall_records"),
+    (StallDetector, "infogain", "stall_records"),
+    (StallDetector, "none", "stall_records"),
+    (AvgRepresentationDetector, "cfs", "adaptive_records"),
+    (AvgRepresentationDetector, "infogain", "adaptive_records"),
+    (AvgRepresentationDetector, "none", "adaptive_records"),
+    (PrometheusBaseline, None, "stall_records"),
+]
+
+
+class TestDetectorRoundTrip:
+    """A saved and reloaded detector answers every public call as the
+    fitted one did, whatever order its selection result is in."""
+
+    @pytest.mark.parametrize(
+        "cls, mode, records_fixture",
+        _ROUND_TRIPS,
+        ids=[f"{c.__name__}-{m or 'fixed'}" for c, m, _ in _ROUND_TRIPS],
+    )
+    def test_public_methods_survive_the_round_trip(
+        self, cls, mode, records_fixture, request
+    ):
+        records = request.getfixturevalue(records_fixture)
+        kwargs = {} if mode is None else {"feature_selection": mode}
+        detector = cls(n_estimators=5, random_state=0, **kwargs).fit(records)
+        payload = json.loads(json.dumps(_detector_to_dict(detector)))
+        clone = _detector_from_dict(payload, cls)
+        assert clone.feature_gains() == detector.feature_gains()
+        assert np.array_equal(
+            clone.predict_proba(records), detector.predict_proba(records)
+        )
+        assert np.array_equal(clone.predict(records), detector.predict(records))
+
+    def test_file_without_result_names_loads_in_column_order(self, framework):
+        """Files written before the result's own names were stored."""
+        payload = framework_to_dict(framework)
+        del payload["stall"]["selection_names"]
+        clone = framework_from_dict(payload)
+        assert clone.stall.feature_gains() == framework.stall.feature_gains()
+
+    def test_result_names_must_be_the_selected_columns(self, framework):
+        payload = framework_to_dict(framework)
+        payload["stall"]["selection_names"][0] = "not a feature"
+        with pytest.raises(ValueError, match="other than its selected"):
+            framework_from_dict(payload)
 
 
 class TestLoadValidation:
