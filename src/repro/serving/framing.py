@@ -22,19 +22,17 @@ message boundaries, no integrity check — so the remote-shard transport
   message of the shard vocabulary listed in :mod:`repro.serving.netshard`.
 
 Every failure mode is a typed :class:`FrameError` subclass, so the
-reader thread can distinguish "peer is gone" (:class:`FrameClosed`)
-from "peer is speaking garbage" (:class:`FrameCorrupted` /
+reader can distinguish "peer is gone" (:class:`FrameClosed`) from
+"peer is speaking garbage" (:class:`FrameCorrupted` /
 :class:`FrameTooLarge`) — both tear the connection down cleanly
 instead of wedging the reader.
 
-:class:`FrameStream` wraps a connected socket with per-message read
-timeouts (``recv(timeout=...)`` returns ``None`` on timeout, it never
-blocks forever) and a send lock so heartbeat, resend and data-plane
-writers may share one connection.  Read deadlines are implemented
-with ``select`` — never ``settimeout`` — so a sender and a receiver
-thread sharing the socket cannot clobber each other's timeout
-mid-syscall (the socket's timeout is fixed to the send ceiling once,
-at construction).
+:class:`FrameStream` wraps a connected socket for the one thread that
+owns it: ``recv(timeout=...)`` returns ``None`` on timeout (it never
+blocks forever), and ``send`` keeps reading whatever the peer sends
+while the socket cannot take more bytes, so two peers that send to
+each other at once both finish.  The socket is non-blocking and every
+wait is a ``select``; ``close()`` may come from any thread.
 
 **Trust boundary.**  The payload is a pickle, and ``pickle.loads`` on
 attacker-controlled bytes is arbitrary code execution — CRC32 is an
@@ -60,7 +58,6 @@ import pickle
 import select
 import socket
 import struct
-import threading
 import time
 import zlib
 from typing import Any, Optional, Tuple
@@ -284,18 +281,21 @@ def decode_frame(
 class FrameStream:
     """A connected socket speaking the shard frame protocol.
 
+    One thread owns a stream's ``send`` and ``recv``; ``close()`` may
+    come from any thread and wakes the owner's wait.
+
     Parameters
     ----------
     sock:
         A connected ``socket.socket``.  The stream owns it: ``close()``
-        closes it, and send/recv errors leave it closed.
+        closes it, and it is switched to non-blocking mode.
     max_frame_bytes:
         Upper bound on a single frame's payload, both directions.
     send_timeout_s:
-        Hard ceiling on one blocking ``sendall`` — the guard against a
-        peer that stopped reading forever (a *partitioned* peer stalls
-        for seconds; a wedged one would otherwise hold the sender
-        hostage indefinitely).
+        Hard ceiling on one ``send`` — the guard against a peer that
+        stopped reading forever (a *partitioned* peer stalls for
+        seconds; a wedged one would otherwise hold the sender hostage
+        indefinitely).
     """
 
     def __init__(
@@ -307,18 +307,9 @@ class FrameStream:
         self._sock = sock
         self.max_frame_bytes = max_frame_bytes
         self.send_timeout_s = send_timeout_s
-        self._send_lock = threading.Lock()
         self._recv_buf = b""
         self._closed = False
-        # The socket timeout is fixed to the send ceiling once, here,
-        # and never touched again: `send` relies on it, `recv` waits
-        # with select() instead.  Calling settimeout per-operation
-        # from the two threads sharing this socket (parent sender +
-        # receiver) could run sendall under a 0.5 s read timeout
-        # (spurious mid-frame timeout → desynced stream) or leave a
-        # read blocking for the 30 s send ceiling (stale-looking
-        # heartbeats → false partition).
-        sock.settimeout(send_timeout_s)
+        sock.setblocking(False)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:  # not a TCP socket (socketpair in tests)
@@ -333,7 +324,7 @@ class FrameStream:
     def close(self) -> None:
         self._closed = True
         try:
-            # Wakes a reader blocked in select() on this socket in
+            # Wakes the owner blocked in select() on this socket in
             # another thread now, before the descriptor is released
             # and can be reused by a socket that thread never owned.
             self._sock.shutdown(socket.SHUT_RDWR)
@@ -347,23 +338,47 @@ class FrameStream:
     def send(self, kind: str, body: Any = None) -> None:
         """Frame and send one ``(kind, body)`` message.
 
-        Raises ``OSError`` (or :class:`FrameClosed`) when the
-        connection is unusable; the caller decides whether that means
-        reconnect or death.
+        While the socket cannot take more bytes, whatever the peer has
+        sent is read into the receive buffer (later :meth:`recv` calls
+        return it), so a peer blocked in its own send to us is never
+        waited on.  Raises ``TimeoutError`` when the frame is not out
+        within ``send_timeout_s``, and ``OSError`` (or
+        :class:`FrameClosed`) when the connection is unusable; the
+        caller decides whether that means reconnect or death.
         """
-        frame = encode_frame((kind, body), self.max_frame_bytes)
-        with self._send_lock:
+        frame = memoryview(encode_frame((kind, body), self.max_frame_bytes))
+        deadline = time.monotonic() + self.send_timeout_s
+        reading = True
+        while frame:
             if self._closed:
                 raise FrameClosed("send on a closed frame stream")
-            self._sock.sendall(frame)
+            try:
+                frame = frame[self._sock.send(frame):]
+                continue
+            except BlockingIOError:
+                pass
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(
+                    f"frame not sent within {self.send_timeout_s}s"
+                )
+            try:
+                readable, _, _ = select.select(
+                    [self._sock] if reading else [], [self._sock], [], remaining
+                )
+            except (OSError, ValueError):
+                raise FrameClosed("send on a closed frame stream")
+            if readable:
+                # At EOF stop reading; the write then fails or finishes.
+                reading = self._read_chunk() != b""
         _FRAMES.labels(direction="sent").inc()
 
     def recv(self, timeout: Optional[float] = None) -> Optional[Tuple[str, Any]]:
         """Receive one message; ``None`` when ``timeout`` elapses first.
 
         Raises :class:`FrameClosed` on EOF, :class:`FrameCorrupted` /
-        :class:`FrameTooLarge` on protocol garbage — the reader thread
-        never wedges on a bad peer.
+        :class:`FrameTooLarge` on protocol garbage — the reader never
+        wedges on a bad peer.
         """
         while True:
             message = self._try_decode_buffered()
@@ -371,9 +386,6 @@ class FrameStream:
                 return message
             if self._closed:
                 raise FrameClosed("recv on a closed frame stream")
-            # Wait for readability with select — not settimeout — so
-            # the deadline never races a concurrent sender's use of
-            # the shared socket's timeout (see __init__).
             try:
                 readable, _, _ = select.select([self._sock], [], [], timeout)
             except (OSError, ValueError):
@@ -382,21 +394,28 @@ class FrameStream:
                 raise FrameClosed("recv on a closed frame stream")
             if not readable:
                 return None
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                # Readability then a timeout should not happen; treat
-                # as "nothing arrived" rather than wedging the reader.
-                return None
-            except BlockingIOError:
-                return None
+            chunk = self._read_chunk()
+            if chunk is None:
+                return None  # spurious readiness: nothing arrived
             if not chunk:
                 _FRAME_ERRORS.labels(kind="closed").inc()
                 raise FrameClosed(
                     "peer closed the connection"
                     + (" mid-frame" if self._recv_buf else "")
                 )
-            self._recv_buf += chunk
+
+    def _read_chunk(self) -> Optional[bytes]:
+        """Append what the readable socket holds to the receive buffer.
+
+        Returns the bytes read, ``b""`` at EOF, ``None`` when nothing
+        was there after all.
+        """
+        try:
+            chunk = self._sock.recv(65536)
+        except BlockingIOError:
+            return None
+        self._recv_buf += chunk
+        return chunk
 
     def _try_decode_buffered(self) -> Optional[Tuple[str, Any]]:
         if len(self._recv_buf) < HEADER_LEN:

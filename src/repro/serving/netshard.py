@@ -54,18 +54,27 @@ design is built around them:
   ``max_elapsed_s`` cap; only when the deadline is spent does the
   handle declare the shard dead and hand it to the supervisor's
   restart/circuit machinery.
+* **One owner per connection.**  Each side runs one loop per
+  connection: the worker its ``_serve_connection``, the parent one I/O
+  thread per worker incarnation that alone sends, receives, keeps the
+  sequence space and the unacked buffer, reconnects, and publishes the
+  handle's ``state``.  No lock guards any of it, and neither side ever
+  waits on a send the other is blocked in: a send that cannot go out
+  reads the peer's bytes meanwhile (:meth:`FrameStream.send`).
 * **At-most-once across a worker death.**  A dead worker (process
   exit, unreachable address) loses its whole shard state — a wider
   blast radius than a thread kill, which keeps tracker and health
   alive under the replaced thread: the parent marks every subscriber
   it ever shipped there as fault-affected and the replacement starts
-  empty.  An injected kill consumes the plan's ``kill_times`` budget
-  across restarts (the parent decrements what each dead worker
-  reports), so a relaunched worker does not kill-loop.  Results
-  already received stay received — ``out`` messages are
-  cumulative-cursor based, and the resume handshake tells the worker
-  which outputs the parent already holds, so a reconnect never
-  re-delivers nor drops a diagnosis.
+  empty.  Declaring the death is the I/O thread's last act, so nothing
+  leaves the ingest queue between the death and the restart: what is
+  still queued reaches the replacement.  An injected kill consumes
+  the plan's ``kill_times`` budget across restarts (the parent
+  decrements what each dead worker reports), so a relaunched worker
+  does not kill-loop.  Results already received stay received —
+  ``out`` messages are cumulative-cursor based, and the resume
+  handshake tells the worker which outputs the parent already holds,
+  so a reconnect never re-delivers nor drops a diagnosis.
 
 Worker deployment shapes (all speak the identical protocol):
 
@@ -104,7 +113,7 @@ import sys
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.capture.weblog import WeblogEntry
@@ -125,7 +134,6 @@ from .batcher import MicroBatcher
 from .dlq import DeadLetterQueue
 from .framing import (
     DEFAULT_MAX_FRAME_BYTES,
-    FrameClosed,
     FrameError,
     FrameStream,
     answer_challenge,
@@ -166,8 +174,6 @@ _POLL_S = 0.02
 _HELLO_TIMEOUT_S = 5.0
 #: A live local worker must report its bound port within this.
 _PORT_DEADLINE_S = 30.0
-#: How long a restart waits for a dead shard's receiver to return.
-_DEAD_RECEIVER_JOIN_S = 5.0
 #: What the forkserver imports once, before it forks any worker.
 _PRELOAD = ["repro.serving.netshard"]
 
@@ -179,8 +185,8 @@ def _default_start_method() -> str:
     :data:`_PRELOAD` once and then forks every local worker of this
     process: a shard start, a supervisor restart and the next service's
     launch all get an already-imported worker.  A plain fork taken while
-    sibling shards' sender/receiver threads hold registry or queue locks
-    could deadlock the child; the forkserver's fork cannot.
+    sibling shards' I/O threads hold registry or queue locks could
+    deadlock the child; the forkserver's fork cannot.
 
     Like spawn, a forkserver child re-imports the parent's ``__main__``
     from its file path.  When the driver came from stdin or ``exec``
@@ -269,13 +275,11 @@ class SocketOpts:
     connect_deadline_s: float = 8.0
     #: Backoff base between connection attempts (deterministic, no jitter).
     connect_backoff_s: float = 0.05
-    #: Per-message read poll; bounds how long shutdown can lag.
-    read_timeout_s: float = 0.5
-    #: Ceiling on one blocking send (a wedged peer cannot hold the
-    #: sender hostage forever).
+    #: Ceiling on one send (a wedged peer cannot hold the I/O thread
+    #: hostage forever).
     send_timeout_s: float = 30.0
-    #: Entries retained in the unacked resend buffer before the sender
-    #: stops pulling from the ingest queue (backpressure boundary —
+    #: Entries retained in the unacked resend buffer before the I/O
+    #: thread stops pulling from the ingest queue (backpressure boundary —
     #: also what forces a partitioned shard's backlog to accumulate in
     #: the quarantinable parent queue instead of growing unbounded).
     max_unacked: int = 2048
@@ -824,16 +828,6 @@ class _RemoteBatcherView:
         self.pending = 0
 
 
-@dataclass
-class _Unacked:
-    """Sent-but-unacknowledged entries, pruned by heartbeat acks."""
-
-    entries: Deque[Tuple[int, WeblogEntry]] = field(default_factory=deque)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class SocketShardWorker:
     """Parent-side handle for one socket shard.
 
@@ -845,6 +839,15 @@ class SocketShardWorker:
     :meth:`quarantine_backlog` (shed a partitioned shard's unsent
     backlog into the DLQ *without* restarting it).
 
+    Each worker incarnation has one I/O thread
+    (``repro-netshard-{i}-io``).  It alone owns the connection, the
+    sequence space, the unacked buffer and the reconnect, and while it
+    runs it is the only writer of ``state``; ``start()`` and
+    ``restart()`` write it only when no I/O thread is alive.  Other
+    threads reach it through the ingest queue (entries, and its close
+    for the drain) and :meth:`quarantine_backlog`, which only touches
+    that queue.
+
     Parameters
     ----------
     config:
@@ -853,7 +856,7 @@ class SocketShardWorker:
     queue:
         Parent-side ingest queue; survives restarts and reconnects.
     mode:
-        ``"spawn"`` — start a worker process over loopback (from the
+        ``"local"`` — start a worker process over loopback (from the
         forkserver, see :func:`_default_start_method`) and connect to
         it; ``"inproc"`` — run the worker as a thread of this process;
         ``"remote"`` — connect to ``address``, shipping the config
@@ -879,7 +882,7 @@ class SocketShardWorker:
         config: NetShardConfig,
         queue: BoundedQueue,
         dead_letters: DeadLetterQueue,
-        mode: str = "spawn",
+        mode: str = "local",
         address: Optional[Tuple[str, int]] = None,
         on_diagnosis: Optional[Callable[[SessionDiagnosis], None]] = None,
         on_alarm: Optional[Callable[[Alarm], None]] = None,
@@ -892,7 +895,7 @@ class SocketShardWorker:
         slow_link: Optional[Callable[[int], float]] = None,
         models: Optional[ModelManager] = None,
     ) -> None:
-        if mode not in ("spawn", "inproc", "remote"):
+        if mode not in ("local", "inproc", "remote"):
             raise ValueError(f"unknown netshard mode {mode!r}")
         if mode == "remote" and address is None:
             raise ValueError("remote mode needs an (host, port) address")
@@ -910,7 +913,7 @@ class SocketShardWorker:
         self._faults = faults
         self._slow_link = slow_link
         self._models = models
-        self._mp = _worker_context() if mode == "spawn" else None
+        self._mp = _worker_context() if mode == "local" else None
         self.monitor = _RemoteMonitorView()
         self.batcher = _RemoteBatcherView()
         self.diagnoses: List[SessionDiagnosis] = []
@@ -925,8 +928,6 @@ class SocketShardWorker:
         self.state = "created"
         self.heartbeat_s = 0.0
         self._connection_alive = False
-        #: Blast radius of a worker death: every subscriber ever shipped.
-        self._seen_subscribers: Set[str] = set()
         self._kill_times_left = config.kill_times
         self._entries_base = 0
         self._quarantined_base = 0
@@ -941,27 +942,37 @@ class SocketShardWorker:
             if mode == "remote"
             else secrets.token_bytes(16)
         )
+        self._process = None
+        self._worker_thread: Optional[threading.Thread] = None
+        self._worker_port: Optional[int] = None
+        self._io: Optional[threading.Thread] = None
+        self._reset_incarnation()
+
+    def _reset_incarnation(self) -> None:
+        """Reset what belongs to one worker incarnation.
+
+        A replacement worker starts empty at recv_seq 0, so the whole
+        sequence space goes with the old one: a stale ``_acked_seq``
+        would make the first resume after a restart read as worker
+        state lost and mark subscribers the dead worker never saw.
+        """
+        self._stream: Optional[FrameStream] = None
         #: Worker state epoch from hello_ack; a changed incarnation on
         #: reconnect means a different worker process answered at the
         #: same address (state lost), whatever its recv_seq claims.
         self._worker_incarnation: Optional[int] = None
         self._seq = 0
         self._acked_seq = 0
-        self._unacked = _Unacked()
-        self._unacked_lock = threading.Lock()
+        #: Sent-but-unacknowledged ``(seq, entry)``, pruned by acks.
+        self._unacked: Deque[Tuple[int, WeblogEntry]] = deque()
+        #: Blast radius of a worker death: every subscriber shipped.
+        self._shipped_to: Set[str] = set()
+        #: ``len(_shipped_to)``, published by the I/O thread for readers
+        #: on other threads (the set itself is its own).
+        self.seen_subscribers = 0
         self._received = {"diagnoses": 0, "alarms": 0, "provisional": 0, "letters": 0}
-        self._stream: Optional[FrameStream] = None
-        self._stream_lock = threading.Lock()
-        self._connected = threading.Event()
-        self._stop = threading.Event()
-        self._drain_wanted = False
-        self._drained = False
+        self._draining = False
         self._death_report: Optional[Dict] = None
-        self._process = None
-        self._worker_thread: Optional[threading.Thread] = None
-        self._worker_port: Optional[int] = None
-        self._sender: Optional[threading.Thread] = None
-        self._receiver: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
     # Supervision surface
@@ -969,7 +980,7 @@ class SocketShardWorker:
 
     @property
     def alive(self) -> bool:
-        return self._receiver is not None and self._receiver.is_alive()
+        return self._io is not None and self._io.is_alive()
 
     @property
     def connection_alive(self) -> bool:
@@ -993,85 +1004,56 @@ class SocketShardWorker:
         return max(0.0, now - self.heartbeat_s)
 
     def start(self) -> None:
-        self.state = "running"
-        self.heartbeat_s = time.monotonic()
-        try:
-            self._launch_and_connect()
-        except (ShardUnreachable, FrameError, OSError) as exc:
-            # Never raise out of start(): an unreachable shard is a
-            # *supervised* failure — restart budget, then circuit.
-            self.error = ShardUnreachable(
-                f"shard {self.index} unreachable at start: {exc}"
-            )
-            self.state = "failed"
-            return
-        self._start_threads()
+        self._begin("at start")
 
     def restart(self) -> None:
         """Stand up a replacement worker over the surviving parent queue.
 
-        Spawn/inproc modes launch a fresh worker (the dead one's state
+        Local/inproc modes launch a fresh worker (the dead one's state
         is gone — the process-death blast radius); remote mode
         re-attempts the connection with a full (model-carrying) hello,
         which reaches whatever the operator restarted at that address.
         The fault plan's remaining kill budget rides in the refreshed
         config so an injected kill cannot loop.
         """
-        if self.state == "failed" and self._receiver is not None:
-            # _handle_death publishes "failed" as the receiver's last
-            # act; let the thread return before judging it alive.
-            self._receiver.join(_DEAD_RECEIVER_JOIN_S)
+        if self.state == "failed" and self._io is not None:
+            # _handle_death publishes "failed" as the I/O thread's last
+            # act, so this join returns at once.
+            self._io.join()
         if self.alive:
             raise RuntimeError(f"shard {self.index} is alive; cannot restart")
-        self._stop.set()
-        for thread in (self._sender, self._receiver):
-            if thread is not None:
-                thread.join(timeout=5.0)
-        self._close_stream()
         self.error = None
         self.restarts += 1
         self.monitor.tracker.open_sessions = 0
         self.batcher.pending = 0
-        with self._unacked_lock:
-            # The sender may have pulled batches after _handle_death
-            # marked the blast radius: they sit in _unacked, reached no
-            # live worker, and are dropped here with the dead worker's
-            # state.  Every unacked entry's subscriber is in
-            # _seen_subscribers, so marking it accounts for them all.
-            if self._faults is not None and self._seen_subscribers:
-                self._faults.mark_affected(self._seen_subscribers)
-            # The replacement worker starts empty at recv_seq 0: reset
-            # the whole sequence space with it.  A stale _acked_seq
-            # would make the first reconnect after the restart read as
-            # "worker state lost" (recv_seq < acked) and falsely mark
-            # every historically seen subscriber fault-affected.
-            self._unacked.entries.clear()
-            self._seq = 0
-            self._acked_seq = 0
-            self._seen_subscribers.clear()
-        self._worker_incarnation = None
-        self._received = {"diagnoses": 0, "alarms": 0, "provisional": 0, "letters": 0}
-        self._stop = threading.Event()
-        self._connected = threading.Event()
-        self._drained = False
-        self._drain_wanted = False
-        self._death_report = None
+        self._reset_incarnation()
+        self._begin("on restart")
+
+    def _begin(self, when: str) -> None:
+        """Launch and connect a worker, then hand it to a new I/O thread."""
         self.state = "running"
         self.heartbeat_s = time.monotonic()
         try:
             self._launch_and_connect()
         except (ShardUnreachable, FrameError, OSError) as exc:
+            # Never raise out of start()/restart(): an unreachable
+            # shard is a *supervised* failure — restart budget, then
+            # circuit.
             self.error = ShardUnreachable(
-                f"shard {self.index} unreachable on restart: {exc}"
+                f"shard {self.index} unreachable {when}: {exc}"
             )
             self.state = "failed"
             return
-        self._start_threads()
+        self._io = threading.Thread(
+            target=self._io_loop,
+            name=f"repro-netshard-{self.index}-io",
+            daemon=True,
+        )
+        self._io.start()
 
     def join(self, timeout: Optional[float] = None) -> None:
-        for thread in (self._sender, self._receiver):
-            if thread is not None:
-                thread.join(timeout)
+        if self._io is not None:
+            self._io.join(timeout)
         if self._process is not None:
             self._process.join(timeout)
 
@@ -1236,179 +1218,122 @@ class SocketShardWorker:
             raise ShardUnreachable(f"expected hello_ack, got {ack!r}")
         if not resume:
             self._worker_incarnation = ack[1].get("incarnation")
-        with self._stream_lock:
-            self._stream = stream
+        self._stream = stream
         self._connection_alive = True
         self.heartbeat_s = time.monotonic()
         return ack[1]
 
     def _close_stream(self) -> None:
         self._connection_alive = False
-        self._connected.clear()
-        with self._stream_lock:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
 
-    def _start_threads(self) -> None:
-        self._connected.set()
-        self._receiver = threading.Thread(
-            target=self._recv_loop,
-            name=f"repro-netshard-{self.index}-recv",
-            daemon=True,
-        )
-        self._sender = threading.Thread(
-            target=self._send_loop,
-            name=f"repro-netshard-{self.index}-send",
-            daemon=True,
-        )
-        self._receiver.start()
-        self._sender.start()
+    def drop_connection_for_test(self) -> None:
+        """Abruptly close the transport (chaos/testing hook).
 
-    # ------------------------------------------------------------------
-    # Sender (parent queue → socket)
-    # ------------------------------------------------------------------
-
-    def _send_loop(self) -> None:
-        opts = self.opts
-        stop = self._stop
-        while not stop.is_set():
-            if not self._connected.wait(timeout=_POLL_S):
-                continue
-            with self._unacked_lock:
-                backpressured = len(self._unacked) >= opts.max_unacked
-            if backpressured:
-                # The worker is not acking (partitioned or slow): stop
-                # pulling so backpressure reaches the ingest queue —
-                # where the supervisor can quarantine it if need be.
-                time.sleep(_POLL_S)
-                continue
-            batch: List[WeblogEntry] = []
-            closed = False
-            try:
-                batch.append(self.queue.get(timeout=_POLL_S))
-                while len(batch) < _SEND_BATCH:
-                    batch.append(self.queue.get(timeout=0))
-            except QueueEmpty:
-                pass
-            except QueueClosed:
-                closed = True
-            if batch:
-                with self._unacked_lock:
-                    base_seq = self._seq + 1
-                    for entry in batch:
-                        self._seq += 1
-                        self._unacked.entries.append((self._seq, entry))
-                        self._seen_subscribers.add(entry.subscriber_id)
-                self._send_entries(base_seq, batch)
-            if closed:
-                self._drain_wanted = True
-                if self._send_control("drain", {}):
-                    return
-                # Connection down: the receiver's reconnect will resend
-                # the drain; keep looping so a later resend can happen
-                # here too if the reconnect beat us to the flag.
-                time.sleep(_POLL_S)
-                if self._drained or self.state == "failed":
-                    return
-
-    def _send_entries(self, base_seq: int, batch: List[WeblogEntry]) -> None:
-        if self._slow_link is not None:
-            delay = self._slow_link(base_seq)
-            if delay > 0:
-                time.sleep(delay)
-        # Gate on _connected, which a reconnect sets only *after* the
-        # unacked gap has been resent — reading self._stream alone
-        # could grab the fresh stream _establish installed mid-
-        # reconnect and deliver this (higher-seq) batch before the
-        # gap, tricking the worker's watermark dedup into silently
-        # skipping the resent lower-seq entries.  The gate must come
-        # after the slow_link nap for the same reason.  Skipping is
-        # always safe: the batch is already in the unacked buffer, so
-        # the in-flight reconnect resends it in order.
-        if not self._connected.is_set():
-            return
-        with self._stream_lock:
-            stream = self._stream
-        if stream is None:
-            return  # already in the unacked buffer; reconnect resends
-        try:
-            stream.send("entries", {"base_seq": base_seq, "entries": batch})
-        except (FrameError, OSError):
-            # Entries are safe in the unacked buffer; let the receiver
-            # drive the reconnect.
-            self._send_failed(stream)
-
-    def _send_control(self, kind: str, body: Dict) -> bool:
-        stream = self._stream
-        if stream is None or not self._connected.is_set():
-            return False
-        try:
-            stream.send(kind, body)
-            return True
-        except (FrameError, OSError):
-            self._send_failed(stream)
-            return False
-
-    def _send_failed(self, stream: FrameStream) -> None:
-        """A send on ``stream`` failed: hold the sender until the
-        receiver, which reads that stream to its end (a ``dying``
-        report included), reconnects and resends the unacked buffer.
-
-        A failure on a stream a reconnect has already replaced is
-        stale and changes nothing: clearing ``_connected`` then would
-        park the sender on a healthy connection that no reconnect will
-        ever set again.
+        Simulates a mid-stream network blip: the I/O thread's next
+        recv/send fails and it drives the reconnect-and-resume
+        handshake.
         """
-        with self._stream_lock:
-            if self._stream is stream:
-                self._connected.clear()
+        stream = self._stream
+        if stream is not None:
+            stream.close()
 
     # ------------------------------------------------------------------
-    # Receiver (socket → results/heartbeats), reconnect, death
+    # The I/O thread
     # ------------------------------------------------------------------
 
-    def _recv_loop(self) -> None:
-        opts = self.opts
-        while not self._stop.is_set():
+    def _io_loop(self) -> None:
+        """Serve this incarnation's connection until drained or dead.
+
+        The shape of the worker loop: while the unacked window is open
+        and no drain is out, wait on the ingest queue and ship what it
+        yields; otherwise wait on the socket.  Either way, then apply
+        everything the worker has already sent.  A failed connection
+        is first read to its end (a ``dying`` report included), then
+        resumed under the connect deadline or declared dead.
+        """
+        max_unacked = self.opts.max_unacked
+        while self.state == "running":
             stream = self._stream
-            if stream is None:
-                time.sleep(_POLL_S)
-                continue
             try:
-                msg = stream.recv(timeout=opts.read_timeout_s)
+                wait_s = _POLL_S
+                if not self._draining and len(self._unacked) < max_unacked:
+                    self._ship_batch(stream)
+                    wait_s = 0.0
+                self._read(stream, wait_s)
             except (FrameError, OSError) as exc:
-                if self._drained or self._stop.is_set():
-                    return
-                if self._try_reconnect(exc):
-                    continue
-                self._handle_death(exc)
+                try:
+                    self._read(stream, 0.0)
+                except (FrameError, OSError):
+                    pass
+                if self.state == "running" and not self._try_reconnect(exc):
+                    self._handle_death(exc)
+
+    def _ship_batch(self, stream: FrameStream) -> None:
+        """Send up to one batch from the ingest queue, and the drain
+        once the queue is closed and empty."""
+        batch: List[WeblogEntry] = []
+        closed = False
+        try:
+            batch.append(self.queue.get(timeout=_POLL_S))
+            while len(batch) < _SEND_BATCH:
+                batch.append(self.queue.get(timeout=0))
+        except QueueEmpty:
+            pass
+        except QueueClosed:
+            closed = True
+        if batch:
+            # Into the unacked buffer before the send: if the send
+            # fails, the resume resends them in order.
+            base_seq = self._seq + 1
+            for entry in batch:
+                self._seq += 1
+                self._unacked.append((self._seq, entry))
+                self._shipped_to.add(entry.subscriber_id)
+            self.seen_subscribers = len(self._shipped_to)
+            if self._slow_link is not None:
+                delay = self._slow_link(base_seq)
+                if delay > 0:
+                    time.sleep(delay)
+            stream.send("entries", {"base_seq": base_seq, "entries": batch})
+        if closed:
+            self._draining = True
+            stream.send("drain", {})
+
+    def _read(self, stream: FrameStream, wait_s: float) -> None:
+        """Apply what arrives within ``wait_s`` and all that follows it
+        without waiting; stops once the worker has drained."""
+        msg = stream.recv(timeout=wait_s)
+        while msg is not None:
+            self._apply(msg)
+            if self.state != "running":
                 return
-            if msg is None:
-                continue
-            self.heartbeat_s = time.monotonic()
-            kind, payload = msg
-            if kind == "out":
-                self._apply_out(payload)
-            elif kind == "registry":
-                if self._fold is not None:
-                    self._fold(payload)
-            elif kind == "hb":
-                self.monitor.tracker.open_sessions = payload["open_sessions"]
-                self.batcher.pending = payload["pending"]
-                self._prune_unacked(payload["recv_seq"])
-            elif kind == "dying":
-                self._death_report = payload
-            elif kind == "drained":
-                self._apply_drained(payload)
-                return
+            msg = stream.recv(timeout=0.0)
+
+    def _apply(self, msg: Tuple[str, Dict]) -> None:
+        self.heartbeat_s = time.monotonic()
+        kind, payload = msg
+        if kind == "out":
+            self._apply_out(payload)
+        elif kind == "registry":
+            if self._fold is not None:
+                self._fold(payload)
+        elif kind == "hb":
+            self.monitor.tracker.open_sessions = payload["open_sessions"]
+            self.batcher.pending = payload["pending"]
+            self._prune_unacked(payload["recv_seq"])
+        elif kind == "dying":
+            self._death_report = payload
+        elif kind == "drained":
+            self._apply_drained(payload)
 
     def _prune_unacked(self, recv_seq: int) -> None:
-        with self._unacked_lock:
-            self._acked_seq = max(self._acked_seq, recv_seq)
-            entries = self._unacked.entries
-            while entries and entries[0][0] <= recv_seq:
-                entries.popleft()
+        self._acked_seq = max(self._acked_seq, recv_seq)
+        entries = self._unacked
+        while entries and entries[0][0] <= recv_seq:
+            entries.popleft()
 
     def _try_reconnect(self, cause: BaseException) -> bool:
         """Reconnect-and-resume under the deadline; False means dead.
@@ -1416,10 +1341,11 @@ class SocketShardWorker:
         The session-sequence handshake makes this lossless: the worker
         reports the highest entry sequence it accepted, the unacked
         buffer is pruned to that watermark, and the remainder is
-        resent in order before the sender resumes — no duplicate, no
-        gap, no regressed per-subscriber timestamp.  A connection that
-        drops again before the resend completes is one more blip, not
-        a death: the handshake is repeated until the connect deadline.
+        resent in order before anything new is shipped — no duplicate,
+        no gap, no regressed per-subscriber timestamp.  A connection
+        that drops again before the resend completes is one more blip,
+        not a death: the handshake is repeated until the connect
+        deadline.
         """
         deadline = time.monotonic() + self.opts.connect_deadline_s
         while True:
@@ -1468,58 +1394,35 @@ class SocketShardWorker:
         ack = self._establish(resume=True)
         recv_seq = int(ack.get("recv_seq", 0))
         incarnation = ack.get("incarnation")
-        state_lost = recv_seq < self._acked_seq or (
+        if recv_seq < self._acked_seq or (
             self._worker_incarnation is not None
             and incarnation != self._worker_incarnation
-        )
+        ):
+            # The worker lost state underneath us (fresh process at
+            # the same address — regressed watermark or changed
+            # incarnation): results so far are kept, but every
+            # subscriber shipped there may now diverge.
+            if self._faults is not None and self._shipped_to:
+                self._faults.mark_affected(self._shipped_to)
+            _LOG.error(
+                "netshard_worker_state_lost",
+                shard=self.index,
+                acked=self._acked_seq,
+                worker_recv=recv_seq,
+            )
         self._worker_incarnation = incarnation
-        with self._unacked_lock:
-            if state_lost:
-                # The worker lost state underneath us (fresh process at
-                # the same address — regressed watermark or changed
-                # incarnation): results so far are kept, but every
-                # subscriber shipped there may now diverge.
-                if self._faults is not None and self._seen_subscribers:
-                    self._faults.mark_affected(self._seen_subscribers)
-                _LOG.error(
-                    "netshard_worker_state_lost",
-                    shard=self.index,
-                    acked=self._acked_seq,
-                    worker_recv=recv_seq,
-                )
-            self._acked_seq = recv_seq
-            entries = self._unacked.entries
-            while entries and entries[0][0] <= recv_seq:
-                entries.popleft()
-            pending = list(entries)
-            # Resend and reopen the sender under the same lock as the
-            # snapshot: a batch the sender appends meanwhile is either
-            # in ``pending`` or finds ``_connected`` set and goes out
-            # itself, after the gap.
-            stream = self._stream
-            if stream is None:
-                raise FrameClosed("connection closed during the resume")
-            for seq, entry in pending:
-                stream.send("entries", {"base_seq": seq, "entries": [entry]})
-            if self._drain_wanted and not self._drained:
-                stream.send("drain", {})
-            self._connected.set()
-        if pending:
-            _RESENT.labels(shard=str(self.index)).inc(len(pending))
-        return len(pending)
-
-    def drop_connection_for_test(self) -> None:
-        """Abruptly close the transport (chaos/testing hook).
-
-        Simulates a mid-stream network blip: the next recv/send fails,
-        and the receiver drives the reconnect-and-resume handshake.
-        """
-        with self._stream_lock:
-            if self._stream is not None:
-                self._stream.close()
+        self._acked_seq = recv_seq
+        self._prune_unacked(recv_seq)
+        for seq, entry in self._unacked:
+            self._stream.send("entries", {"base_seq": seq, "entries": [entry]})
+        if self._draining:
+            self._stream.send("drain", {})
+        if self._unacked:
+            _RESENT.labels(shard=str(self.index)).inc(len(self._unacked))
+        return len(self._unacked)
 
     # ------------------------------------------------------------------
-    # Message application (receiver thread only)
+    # Message application (I/O thread only)
     # ------------------------------------------------------------------
 
     def _fire(self, callback, payload, name: str) -> None:
@@ -1563,12 +1466,12 @@ class SocketShardWorker:
             )
         self.monitor.tracker.open_sessions = 0
         self.batcher.pending = 0
-        self._drained = True
         self._close_stream()
         self.state = "stopped"
 
     def _handle_death(self, cause: BaseException) -> None:
-        """Reconnect deadline spent (or the worker process is gone)."""
+        """Reconnect deadline spent (or the worker is gone): the I/O
+        thread's last act, so nothing leaves the ingest queue after it."""
         self._close_stream()
         if self._process is not None:
             self._process.join(timeout=5.0)
@@ -1578,13 +1481,8 @@ class SocketShardWorker:
             self._kill_times_left = max(0, self._kill_times_left - kills)
             if self._faults is not None:
                 self._faults.note_remote_kills(self.index, kills)
-        if self._faults is not None:
-            # A snapshot under the lock: the sender may still be adding
-            # subscribers (restart() marks those).
-            with self._unacked_lock:
-                seen = set(self._seen_subscribers)
-            if seen:
-                self._faults.mark_affected(seen)
+        if self._faults is not None and self._shipped_to:
+            self._faults.mark_affected(self._shipped_to)
         detail = report.get("error") or repr(cause)
         self.error = ShardConnectionLost(
             f"shard {self.index} connection lost beyond recovery: {detail}"

@@ -180,7 +180,7 @@ class SocketShardRouter:
     One parent-side queue + config per shard, all sharing one
     :class:`RegistryFolder` and the service's DLQ; kill *and*
     partition specs come from the fault injector by value, and the
-    ``slow_link`` delay hook is threaded into every worker's sender.
+    ``slow_link`` delay hook is threaded into every worker's I/O thread.
     Every worker holds the service's :class:`ModelManager` and reads
     its current model at each (re)launch and remote ``hello``.
     """
@@ -214,9 +214,6 @@ class SocketShardRouter:
         self.placement = placement
         self.folder = RegistryFolder(registry)
         self.shards: List[SocketShardWorker] = []
-        mode = {"local": "spawn", "inproc": "inproc", "remote": "remote"}[
-            placement.mode
-        ]
         slow_link = None
         if faults is not None and faults.plan.slow_link_fraction > 0.0:
             slow_link = faults.slow_link_delay_s
@@ -259,7 +256,7 @@ class SocketShardRouter:
                         name=f"shard{index}",
                     ),
                     dead_letters=dead_letters,
-                    mode=mode,
+                    mode=placement.mode,
                     address=placement.addresses.get(index),
                     on_diagnosis=on_diagnosis,
                     on_alarm=on_alarm,
@@ -284,7 +281,7 @@ class SocketShardRouter:
             "placement": self.placement.describe(),
             "registry_folds": self.folder.snapshot(),
             "seen_subscribers": sum(
-                len(shard._seen_subscribers) for shard in self.shards
+                shard.seen_subscribers for shard in self.shards
             ),
             "reconnects": sum(shard.reconnects for shard in self.shards),
         }

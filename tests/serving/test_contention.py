@@ -1,0 +1,138 @@
+"""Socket-shard fault scenarios under forced thread contention.
+
+Races between a shard handle's thread, its worker and the supervisor
+show up when the interpreter switches threads far more often than it
+does by default.  Each test here sets the switch interval of this test
+process to 10 µs (and restores it afterwards), then runs one fault
+scenario: a worker kill and restart, a connection dropped mid-stream,
+and a partition.  Each runs three times.  Every run asserts the
+invariant the chaos suites use: per subscriber, the service's
+diagnoses equal the serial monitor's, or the fault injector marked
+that subscriber affected.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import defaultdict
+
+import pytest
+
+from repro.faults import FaultInjector, FaultPlan
+from repro.realtime.monitor import RealTimeMonitor
+from repro.realtime.tracker import OnlineSessionTracker
+from repro.serving import QoEService
+from repro.serving.replay import synthetic_trace
+from repro.serving.shard import shard_index
+
+from tests.serving.conftest import diagnosis_multiset
+
+RUNS = range(3)
+
+
+@pytest.fixture(autouse=True)
+def contention():
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return synthetic_trace(40, seed=17, subscribers=20)
+
+
+@pytest.fixture(scope="module")
+def serial(serving_framework, trace):
+    monitor = RealTimeMonitor(serving_framework, tracker=OnlineSessionTracker())
+    monitor.feed_many(trace)
+    monitor.drain()
+    return monitor.diagnoses
+
+
+def _by_subscriber(diagnoses):
+    grouped = defaultdict(list)
+    for diagnosis in diagnoses:
+        grouped[diagnosis.session_id.rsplit("/online-", 1)[0]].append(diagnosis)
+    return grouped
+
+
+def _assert_identical_or_affected(service, serial, trace, affected):
+    got, want = _by_subscriber(service.diagnoses), _by_subscriber(serial)
+    subscribers = {entry.subscriber_id for entry in trace}
+    untouched = subscribers - set(affected)
+    assert untouched, "the fault touched every subscriber"
+    for subscriber in sorted(untouched):
+        assert diagnosis_multiset(got[subscriber]) == diagnosis_multiset(
+            want[subscriber]
+        ), f"{subscriber} diverged from serial without being marked affected"
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_kill_and_restart(serving_framework, trace, serial, run):
+    victim = shard_index(trace[0].subscriber_id, 2)
+    faults = FaultInjector(
+        FaultPlan(seed=23, kill_shard=victim, kill_at_entry=25, kill_times=1)
+    )
+    service = QoEService(
+        serving_framework,
+        n_shards=2,
+        shard_backend="socket",
+        placement="inproc:2",
+        faults=faults,
+    )
+    with service:
+        service.submit_many(trace)
+    assert faults.kills_fired == 1
+    assert service.router.shards[victim].restarts >= 1
+    _assert_identical_or_affected(
+        service, serial, trace, faults.affected_subscribers
+    )
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_dropped_connection(serving_framework, trace, serial, run):
+    faults = FaultInjector(FaultPlan(seed=run))
+    service = QoEService(
+        serving_framework,
+        n_shards=2,
+        shard_backend="socket",
+        placement="inproc:2",
+        faults=faults,
+    )
+    with service:
+        for i, entry in enumerate(trace):
+            service.submit(entry)
+            if i == len(trace) // 2:
+                service.router.shards[0].drop_connection_for_test()
+    assert service.router.shards[0].reconnects >= 1
+    assert all(shard.restarts == 0 for shard in service.router.shards)
+    _assert_identical_or_affected(
+        service, serial, trace, faults.affected_subscribers
+    )
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_partition(serving_framework, trace, serial, run):
+    faults = FaultInjector(FaultPlan.parse("partition_shard=1@5:0.8,seed=3"))
+    service = QoEService(
+        serving_framework,
+        n_shards=2,
+        shard_backend="socket",
+        placement="inproc:2",
+        faults=faults,
+        heartbeat_timeout_s=0.25,
+        supervisor_poll_s=0.05,
+        partition_enter_ticks=2,
+        partition_exit_ticks=1,
+        socket_opts=dict(max_unacked=8),
+    )
+    with service:
+        service.submit_many(trace)
+    assert service.supervisor.open_circuits == []
+    _assert_identical_or_affected(
+        service, serial, trace, faults.affected_subscribers
+    )

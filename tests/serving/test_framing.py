@@ -233,9 +233,8 @@ class TestFrameStream:
             b.close()
 
     def test_concurrent_send_and_recv_timeouts_do_not_interfere(self):
-        """A sender thread must not perturb the receiver's deadline
-        (and vice versa): reads wait via select, the socket timeout is
-        fixed to the send ceiling once at construction."""
+        """A sender on one end must not perturb the receiver's deadline
+        on the other: every wait is a select with its own timeout."""
         a, b = _stream_pair()
         received = []
         errors = []
@@ -262,6 +261,48 @@ class TestFrameStream:
         finally:
             a.close()
             b.close()
+
+
+    def test_simultaneous_large_sends_do_not_deadlock(self):
+        """Both ends send a frame far larger than the socket buffers at
+        the same moment, one thread per end.  Each send reads the
+        peer's bytes while its own cannot go out, so both return, and
+        each side's next recv yields the peer's frame."""
+        left, right = socket.socketpair()
+        for sock in (left, right):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        streams = [
+            FrameStream(left, send_timeout_s=2.0),
+            FrameStream(right, send_timeout_s=2.0),
+        ]
+        payloads = [b"L" * 1_000_000, b"R" * 1_000_000]
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def exchange(side):
+            start.wait()
+            try:
+                streams[side].send("entries", payloads[side])
+                results[side] = streams[side].recv(timeout=5.0)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                results[side] = exc
+
+        threads = [
+            threading.Thread(target=exchange, args=(side,), daemon=True)
+            for side in (0, 1)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results[0] == ("entries", payloads[1])
+            assert results[1] == ("entries", payloads[0])
+        finally:
+            for stream in streams:
+                stream.close()
 
 
 class TestAuthHandshake:

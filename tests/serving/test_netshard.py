@@ -347,35 +347,6 @@ class TestReconnectResume:
             serial.diagnoses
         )
 
-    def test_stale_send_failure_leaves_the_new_connection_open(
-        self, serving_framework, serving_trace, serial
-    ):
-        """A send that fails on a stream a reconnect has already
-        replaced must not park the sender on the healthy connection —
-        nothing would ever reopen it, and drain would wait forever."""
-        service = QoEService(
-            serving_framework,
-            n_shards=1,
-            shard_backend="socket",
-            placement="inproc:1",
-        )
-        with service:
-            shard = service.router.shards[0]
-            old = shard._stream
-            shard.drop_connection_for_test()
-            deadline = time.monotonic() + 10.0
-            while shard.reconnects == 0 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert shard.reconnects == 1
-            assert shard._stream is not old
-            shard._send_failed(old)
-            assert shard._connected.is_set()
-            service.submit_many(serving_trace)
-        assert shard.restarts == 0
-        assert diagnosis_multiset(service.diagnoses) == diagnosis_multiset(
-            serial.diagnoses
-        )
-
 
 class TestAckWindow:
     def test_burst_drains_without_waiting_for_heartbeats(
@@ -747,93 +718,127 @@ class TestLetterLogBounds:
 
 
 class TestRestartResetsWatermarks:
-    def test_restart_clears_sequence_state(self, serving_framework):
-        from repro.serving.dlq import DeadLetterQueue
-        from repro.serving.netshard import NetShardConfig, SocketShardWorker
-        from repro.serving.queue import BoundedQueue
-
-        handle = SocketShardWorker(
-            config=NetShardConfig(index=0, framework=serving_framework),
-            queue=BoundedQueue(capacity=8, policy="block", name="rs-test"),
-            dead_letters=DeadLetterQueue(),
-            mode="inproc",
+    def test_reconnect_after_a_restart_is_not_state_loss(
+        self, serving_framework
+    ):
+        """Kill, restart, ship fresh subscribers, then drop the
+        replacement's connection.  The dead worker acked 299 entries;
+        the replacement starts empty and holds at most 21 at the drop,
+        so a restart that kept the old watermark would read the resume
+        as worker state lost and mark the fresh subscribers affected."""
+        trace = synthetic_trace(40, seed=17, subscribers=20)
+        fresh = [
+            replace(entry, subscriber_id=entry.subscriber_id + "~fresh")
+            for entry in synthetic_trace(20, seed=31, subscribers=10)
+        ]
+        faults = FaultInjector(
+            FaultPlan(seed=23, kill_shard=0, kill_at_entry=300, kill_times=1)
         )
-        # Simulate a worker that lived, acked, then died.
-        handle._seq = 41
-        handle._acked_seq = 37
-        handle._worker_incarnation = 1234
-        handle._seen_subscribers.update({"s1", "s2"})
-        handle._unacked.entries.append((41, object()))
-        handle._launch_worker = lambda: None
-        handle._establish = lambda resume: {}
-        handle._start_threads = lambda: None
+        service = QoEService(
+            serving_framework,
+            n_shards=1,
+            shard_backend="socket",
+            placement="inproc:1",
+            faults=faults,
+        )
+        shard = service.router.shards[0]
 
-        handle.restart()
+        def wait_for(condition, what):
+            deadline = time.monotonic() + 30.0
+            while not condition():
+                assert time.monotonic() < deadline, what
+                time.sleep(0.01)
 
-        assert handle.restarts == 1
-        assert handle._seq == 0
-        assert handle._acked_seq == 0
-        assert handle._worker_incarnation is None
-        assert not handle._seen_subscribers
-        assert not handle._unacked.entries
-        # A replacement worker's first reconnect (recv_seq 0) must not
-        # read as state loss against the dead worker's watermark.
-        assert handle._acked_seq <= 0
+        with service:
+            service.submit_many(trace[:299])
+            # The heartbeat that reports these processed carries their
+            # ack, and it reaches the parent before any dying report.
+            wait_for(
+                lambda: shard.entries_processed == 299, "entries not processed"
+            )
+            service.submit_many(trace[299:310])
+            wait_for(
+                lambda: shard.restarts == 1 and shard.state == "running",
+                "the kill never forced a restart",
+            )
+            service.submit_many(fresh[:10])
+            wait_for(lambda: shard.queue.depth == 0, "fresh entries not shipped")
+            shard.drop_connection_for_test()
+            wait_for(lambda: shard.reconnects == 1, "the drop never resumed")
+            service.submit_many(fresh[10:])
+
+        assert faults.kills_fired == 1
+        assert shard.restarts == 1
+        fresh_subscribers = {entry.subscriber_id for entry in fresh}
+        assert not fresh_subscribers & faults.affected_subscribers
+        reference = RealTimeMonitor(
+            serving_framework, tracker=OnlineSessionTracker()
+        )
+        reference.feed_many(fresh)
+        reference.drain()
+        assert reference.diagnoses
+        assert diagnosis_multiset(
+            d
+            for d in service.diagnoses
+            if _subscriber(d.session_id) in fresh_subscribers
+        ) == diagnosis_multiset(reference.diagnoses)
 
 
-class _ParkingQueue(BoundedQueue):
-    """Hands out ``first`` entries as one batch, then parks the next
-    blocking ``get`` until ``release`` is set.
+class _DeathWatchQueue(BoundedQueue):
+    """Records the handle's ``state`` at every entry it hands out.
 
-    The sender pulls a batch with one blocking ``get`` and then
-    ``get(timeout=0)`` calls; refusing the first zero-timeout call
-    after ``first`` entries ships the batch that holds the kill entry,
-    and the next blocking call is then parked inside ``get``, past the
-    sender's connected check, until the test releases it.
+    Once the ``first`` entries (the batch holding the kill entry) are
+    out, a waiting ``get`` is held until the handle reports ``failed``,
+    then waits for the entries the test puts after the death.  A
+    consumer that outlives the death takes them here while the handle
+    is ``failed``.  The one I/O thread is itself the consumer, so it
+    cannot report the death while held: after two seconds the hold
+    ends empty-handed and the thread goes on to read the death.
     """
 
-    def __init__(self, first, release, **kwargs):
+    def __init__(self, first, **kwargs):
         super().__init__(**kwargs)
-        self._left = first
-        self._release = release
-        self.after_release = 0
+        self.first = first
+        self.handle = None
+        self.released = False
+        self.states = []
 
     def get(self, timeout=None):
-        if self._left == 0:
+        if not self.released and len(self.states) >= self.first:
             if timeout == 0:
                 raise QueueEmpty("the batch ends at the kill entry")
-            self._release.wait(30.0)
-            self._left = -1
+            deadline = time.monotonic() + 2.0
+            while self.handle.state != "failed":
+                if time.monotonic() > deadline:
+                    raise QueueEmpty("no death reported while held")
+                time.sleep(0.001)
+            timeout = 10.0
         entry = super().get(timeout=timeout)
-        if self._left > 0:
-            self._left -= 1
-        elif self._left < 0:
-            self.after_release += 1
+        self.states.append(self.handle.state)
         return entry
 
 
-class TestRestartAccountsForPostDeathPulls:
-    def test_batch_pulled_after_death_marks_its_subscribers(
+class TestNothingLeavesTheQueueAfterDeath:
+    def test_entries_queued_after_death_reach_the_replacement(
         self, serving_framework
     ):
-        """The sender can pull one more batch after ``_handle_death``
-        marked the blast radius; ``restart()`` drops it with the dead
-        worker's state, so it must mark its subscribers too."""
+        """No ``get`` hands out an entry while the handle is
+        ``failed``: entries queued after the death wait for the
+        replacement, which diagnoses them exactly as the serial
+        monitor does, and their subscribers are not marked affected."""
         trace = synthetic_trace(20, seed=17, subscribers=8)
         first = trace[:12]
         before = {entry.subscriber_id for entry in first}
-        # Few enough late entries for the sender's one post-death batch.
-        late = [e for e in trace if e.subscriber_id not in before][:100]
+        late = [e for e in trace if e.subscriber_id not in before]
         assert late
         faults = FaultInjector(
             FaultPlan(seed=0, kill_shard=0, kill_at_entry=len(first), kill_times=1)
         )
         kill_at, kill_times = faults.kill_spec_for(0)
-        died = threading.Event()
-        queue = _ParkingQueue(
-            len(first), died, capacity=len(trace), policy="block", name="park"
+        queue = _DeathWatchQueue(
+            len(first), capacity=len(trace), policy="block", name="late"
         )
-        for entry in first + late:
+        for entry in first:
             queue.put(entry)
         handle = SocketShardWorker(
             config=NetShardConfig(
@@ -847,25 +852,54 @@ class TestRestartAccountsForPostDeathPulls:
             mode="inproc",
             faults=faults,
         )
-        handle_death = handle._handle_death
-
-        def death_then_release(cause):
-            handle_death(cause)
-            died.set()
-
-        handle._handle_death = death_then_release
+        queue.handle = handle
         handle.start()
-        assert died.wait(30.0), "the injected kill never surfaced"
+        deadline = time.monotonic() + 30.0
+        while handle.state != "failed":
+            assert time.monotonic() < deadline, "the injected kill never surfaced"
+            time.sleep(0.001)
+        for entry in late:
+            queue.put(entry)
+        queue.released = True
+        handle.restart()
+        queue.close()
+        handle.join(30.0)
+
         assert faults.kills_fired == 1
-        handle.restart()  # joins the sender: its late batch is unacked
-        try:
-            assert queue.after_release == len(late)
-            late_subscribers = {entry.subscriber_id for entry in late}
-            assert late_subscribers <= faults.affected_subscribers
-        finally:
-            queue.close()
-            handle.join(10.0)
         assert handle.state == "stopped"
+        assert "failed" not in queue.states
+        late_subscribers = {entry.subscriber_id for entry in late}
+        assert not late_subscribers & faults.affected_subscribers
+        reference = RealTimeMonitor(
+            serving_framework, tracker=OnlineSessionTracker()
+        )
+        reference.feed_many(late)
+        reference.drain()
+        assert reference.diagnoses
+        assert diagnosis_multiset(
+            d
+            for d in handle.diagnoses
+            if _subscriber(d.session_id) in late_subscribers
+        ) == diagnosis_multiset(reference.diagnoses)
+
+
+class TestOneIoThreadPerShard:
+    def test_running_service_has_one_io_thread_per_shard(
+        self, serving_framework
+    ):
+        before = set(threading.enumerate())
+        service = QoEService(
+            serving_framework,
+            n_shards=2,
+            shard_backend="socket",
+            placement="inproc:2",
+        )
+        with service:
+            names = [t.name for t in threading.enumerate() if t not in before]
+            service.submit_many(synthetic_trace(4, seed=3, subscribers=2))
+        for index in range(2):
+            assert names.count(f"repro-netshard-{index}-io") == 1
+        assert not [n for n in names if n.endswith(("-send", "-recv"))]
 
 
 class TestPlacementValidation:
