@@ -58,7 +58,11 @@ design is built around them:
   connection: the worker its ``_serve_connection``, the parent one I/O
   thread per worker incarnation that alone sends, receives, keeps the
   sequence space and the unacked buffer, reconnects, and publishes the
-  handle's ``state``.  No lock guards any of it, and neither side ever
+  handle's ``state``.  Entries cross each side's queue in batches: the
+  I/O thread takes a send batch with one ``get_many``, and the worker
+  hands its received backlog to its shard's queue with one
+  ``put_many`` (the shard thread then pulls its own batches, see
+  :mod:`repro.serving.shard`).  No lock guards any of it, and neither side ever
   waits on a send the other is blocked in: a send that cannot go out
   reads the peer's bytes meanwhile (:meth:`FrameStream.send`).
 * **At-most-once across a worker death.**  A dead worker (process
@@ -513,6 +517,19 @@ class _WorkerState:
         self.prev_registry_state = current
 
 
+def _hand_over(
+    backlog: Deque[WeblogEntry], queue: BoundedQueue, timeout: float
+) -> None:
+    """Move the head of the received backlog into the shard's queue in
+    one hand-off, waiting at most ``timeout`` for space."""
+    try:
+        admitted = queue.put_many(backlog, timeout=timeout)
+    except QueueFull:
+        return
+    for _ in range(admitted):
+        backlog.popleft()
+
+
 def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
     """Serve one parent connection; returns 'drained'/'dying' to exit,
     ``None`` when the connection dropped and the worker should await a
@@ -563,12 +580,8 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
         )
 
     while True:
-        while st.backlog and worker.state in ("created", "running"):
-            try:
-                queue.put(st.backlog[0], timeout=_POLL_S)
-                st.backlog.popleft()
-            except QueueFull:
-                break
+        if st.backlog and worker.state in ("created", "running"):
+            _hand_over(st.backlog, queue, _POLL_S)
         if not st.backlog and st.recv_seq != acked_seq:
             # Everything received now sits in the bounded queue: ack it
             # at once so the parent's unacked window refills at the
@@ -606,11 +619,7 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
                 continue  # bias towards keeping the worker fed
             if kind == "drain":
                 while st.backlog and worker.state in ("created", "running"):
-                    try:
-                        queue.put(st.backlog[0], timeout=0.2)
-                        st.backlog.popleft()
-                    except QueueFull:
-                        pass
+                    _hand_over(st.backlog, queue, 0.2)
                 queue.close()
                 st.draining = True
         if worker.state == "failed":
@@ -1057,6 +1066,16 @@ class SocketShardWorker:
         if self._process is not None:
             self._process.join(timeout)
 
+    @property
+    def queued(self) -> int:
+        """Entries waiting in the parent-side queue (the unacked buffer
+        has been shipped)."""
+        return self.queue.depth
+
+    def drain_backlog(self) -> List[WeblogEntry]:
+        """Remove and return the unshipped backlog (circuit breaker)."""
+        return self.queue.drain_remaining()
+
     def quarantine_backlog(self, dead_letters: DeadLetterQueue) -> int:
         """Shed the unsent parent-side backlog of a partitioned shard.
 
@@ -1066,7 +1085,7 @@ class SocketShardWorker:
         backlog nobody has committed to is quarantined, so the shard
         itself keeps running and needs no restart.
         """
-        entries = self.queue.drain_remaining()
+        entries = self.drain_backlog()
         for entry in entries:
             dead_letters.put(
                 entry,
@@ -1272,14 +1291,12 @@ class SocketShardWorker:
                     self._handle_death(exc)
 
     def _ship_batch(self, stream: FrameStream) -> None:
-        """Send up to one batch from the ingest queue, and the drain
-        once the queue is closed and empty."""
+        """Send up to one batch from the ingest queue, taken in one
+        hand-off, and the drain once the queue is closed and empty."""
         batch: List[WeblogEntry] = []
         closed = False
         try:
-            batch.append(self.queue.get(timeout=_POLL_S))
-            while len(batch) < _SEND_BATCH:
-                batch.append(self.queue.get(timeout=0))
+            batch = self.queue.get_many(_SEND_BATCH, timeout=_POLL_S)
         except QueueEmpty:
             pass
         except QueueClosed:

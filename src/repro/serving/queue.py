@@ -20,17 +20,27 @@ depends on the deployment:
     edge.  Invariant: depth never exceeds capacity and queued entries
     are never evicted.
 
-Every enqueue, drop and the live depth are instrumented through
-:mod:`repro.obs` (``repro_serving_queue_*``), labelled by queue name,
-so overload is visible on the Prometheus endpoint before it becomes a
-diagnosis gap.
+Entries cross a queue in batches: :meth:`BoundedQueue.put_many` and
+:meth:`BoundedQueue.get_many` move any number of entries for one lock
+hold, one wake-up and one depth-gauge write, and ``put``/``get`` are
+their one-entry case.  Entries a consumer has taken are in flight, not
+queued: they live in the consumer (a shard worker's pulled batch, a
+socket shard's send batch), so ``drop_oldest`` cannot evict them and a
+consumer that dies must account for them itself.
+
+Every enqueue, drop, hand-off and the live depth are instrumented
+through :mod:`repro.obs` (``repro_serving_queue_*``), labelled by queue
+name, so overload is visible on the Prometheus endpoint before it
+becomes a diagnosis gap; enqueued over hand-offs is how many entries
+each hand-off carried.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Iterable, Optional
 
 from repro.obs import get_registry
 
@@ -48,6 +58,12 @@ _REG = get_registry()
 _ENQUEUED = _REG.counter(
     "repro_serving_queue_enqueued_total",
     "Entries accepted into a serving ingest queue.",
+    labelnames=("queue",),
+)
+_HANDOFFS = _REG.counter(
+    "repro_serving_queue_handoffs_total",
+    "Dequeue calls that handed entries to a consumer; enqueued over "
+    "hand-offs is the entries each hand-off carried.",
     labelnames=("queue",),
 )
 _DROPPED = _REG.counter(
@@ -108,6 +124,7 @@ class BoundedQueue:
         self.dropped = 0
         self._depth_gauge = _DEPTH.labels(queue=name)
         self._enqueued_counter = _ENQUEUED.labels(queue=name)
+        self._handoff_counter = _HANDOFFS.labels(queue=name)
         self._dropped_counter = _DROPPED.labels(queue=name, policy=policy)
 
     # ------------------------------------------------------------------
@@ -122,16 +139,20 @@ class BoundedQueue:
         with self._cond:
             return self._closed
 
-    def _admit(self, item) -> None:
-        # Caller holds the lock.
-        self._items.append(item)
-        self.enqueued += 1
-        self._enqueued_counter.inc()
-        self._depth_gauge.set(len(self._items))
-        # notify_all, not notify: producers and consumers share one
-        # condition, so a single wakeup could land on the wrong side
-        # and strand a blocked peer.
-        self._cond.notify_all()
+    def _publish(self, admitted: int, dropped: int) -> None:
+        # Caller holds the lock.  One counter bump, one gauge write and
+        # one wake-up for everything a call admitted since it last
+        # published.  notify_all, not notify: producers and consumers
+        # share one condition, so a single wakeup could land on the
+        # wrong side and strand a blocked peer.
+        if dropped:
+            self.dropped += dropped
+            self._dropped_counter.inc(dropped)
+        if admitted:
+            self.enqueued += admitted
+            self._enqueued_counter.inc(admitted)
+            self._depth_gauge.set(len(self._items))
+            self._cond.notify_all()
 
     def put(self, item, timeout: Optional[float] = None) -> bool:
         """Enqueue one entry under the configured policy.
@@ -141,35 +162,69 @@ class BoundedQueue:
         :meth:`close`, and :class:`QueueFull` if a ``block`` put times
         out (``timeout=None`` blocks indefinitely).
         """
+        return self.put_many((item,), timeout) == 1
+
+    def put_many(self, items: Iterable, timeout: Optional[float] = None) -> int:
+        """Enqueue entries in order, in one lock hold; returns how many
+        were admitted.
+
+        The outcome is that of :meth:`put` on each entry in turn,
+        stopped at the first exception: ``shed_newest`` sheds what does
+        not fit, ``drop_oldest`` evicts for each arrival, and a
+        ``block`` call waits for space, for at most ``timeout`` seconds
+        in all.  The exception is raised only when it hits the first
+        entry; a later one (the timeout, or a :meth:`close` while
+        waiting) ends the call, and the return value tells the caller
+        how many leading entries went in.
+        """
+        total = published = dropped = 0
+        deadline = None
+        queued = self._items
         with self._cond:
             if self._closed:
                 raise QueueClosed(f"queue {self.name!r} is closed")
-            if len(self._items) < self.capacity:
-                self._admit(item)
-                return True
-            if self.policy == "shed_newest":
-                self.dropped += 1
-                self._dropped_counter.inc()
-                return False
-            if self.policy == "drop_oldest":
-                self._items.popleft()
-                self.dropped += 1
-                self._dropped_counter.inc()
-                self._admit(item)
-                return True
-            # block
-            admitted = self._cond.wait_for(
-                lambda: self._closed or len(self._items) < self.capacity,
-                timeout=timeout,
+            try:
+                for item in items:
+                    if len(queued) >= self.capacity:
+                        if self.policy == "shed_newest":
+                            dropped += 1
+                            continue
+                        if self.policy == "drop_oldest":
+                            queued.popleft()
+                            dropped += 1
+                        else:
+                            # block: consumers must see what is queued
+                            # before this producer sleeps on space.
+                            self._publish(total - published, dropped)
+                            published, dropped = total, 0
+                            if deadline is None and timeout is not None:
+                                deadline = time.monotonic() + timeout
+                            try:
+                                self._await_space(deadline, timeout)
+                            except (QueueClosed, QueueFull):
+                                if total:
+                                    break
+                                raise
+                    queued.append(item)
+                    total += 1
+            finally:
+                self._publish(total - published, dropped)
+        return total
+
+    def _await_space(
+        self, deadline: Optional[float], timeout: Optional[float]
+    ) -> None:
+        # Caller holds the lock.  Returns once there is room.
+        space = self._cond.wait_for(
+            lambda: self._closed or len(self._items) < self.capacity,
+            timeout=None if deadline is None else deadline - time.monotonic(),
+        )
+        if self._closed:
+            raise QueueClosed(f"queue {self.name!r} is closed")
+        if not space:
+            raise QueueFull(
+                f"queue {self.name!r} full after {timeout}s (block policy)"
             )
-            if self._closed:
-                raise QueueClosed(f"queue {self.name!r} is closed")
-            if not admitted:
-                raise QueueFull(
-                    f"queue {self.name!r} full after {timeout}s (block policy)"
-                )
-            self._admit(item)
-            return True
 
     def get(self, timeout: Optional[float] = None):
         """Dequeue the oldest entry.
@@ -179,19 +234,40 @@ class BoundedQueue:
         queue is closed *and* fully drained — the consumer's signal to
         shut down without losing queued entries.
         """
+        return self.get_many(1, timeout)[0]
+
+    def get_many(self, max_items: int, timeout: Optional[float] = None) -> list:
+        """Dequeue up to ``max_items`` oldest entries, in one lock hold.
+
+        Waits like :meth:`get` for the first entry, then takes what is
+        queued behind it without waiting.  The entries returned are the
+        consumer's: no policy can evict them any more.
+        """
+        if max_items < 1:
+            raise ValueError("max_items must be >= 1")
         with self._cond:
-            ready = self._cond.wait_for(
-                lambda: self._items or self._closed, timeout=timeout
-            )
-            if self._items:
-                item = self._items.popleft()
-                self._depth_gauge.set(len(self._items))
-                self._cond.notify_all()
-                return item
-            if self._closed:
-                raise QueueClosed(f"queue {self.name!r} is closed and drained")
-            assert not ready
-            raise QueueEmpty(f"queue {self.name!r}: nothing within {timeout}s")
+            items = self._items
+            if not items:
+                self._cond.wait_for(
+                    lambda: self._items or self._closed, timeout=timeout
+                )
+                if not items:
+                    if self._closed:
+                        raise QueueClosed(
+                            f"queue {self.name!r} is closed and drained"
+                        )
+                    raise QueueEmpty(
+                        f"queue {self.name!r}: nothing within {timeout}s"
+                    )
+            if len(items) <= max_items:
+                batch = list(items)
+                items.clear()
+            else:
+                batch = [items.popleft() for _ in range(max_items)]
+            self._handoff_counter.inc()
+            self._depth_gauge.set(len(items))
+            self._cond.notify_all()
+            return batch
 
     def drain_remaining(self) -> list:
         """Atomically remove and return everything still queued.

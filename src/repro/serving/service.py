@@ -776,7 +776,7 @@ class QoEService:
                     "circuit_open": self.supervisor.circuit_open(shard.index),
                     "stalled": shard.index in self.supervisor.stalled_shards,
                     "health_state": self.supervisor.shard_state(shard.index),
-                    "queue_depth": shard.queue.depth,
+                    "queue_depth": shard.queued,
                     "queue_dropped": shard.queue.dropped,
                     "entries_processed": shard.entries_processed,
                     "quarantined": shard.quarantined,
@@ -794,7 +794,7 @@ class QoEService:
                 "engaged": True,
                 "entries_processed": self._fallback.entries_processed,
                 "diagnoses": len(self._fallback.diagnoses),
-                "queue_depth": self._fallback.queue.depth,
+                "queue_depth": self._fallback.queued,
             }
         if self.router is not None:
             out["router"] = self.router.snapshot()

@@ -23,14 +23,24 @@ The model is resolved from the :class:`~repro.serving.models.ModelManager`
 once per batch, so a hot-reload takes effect at the next batch
 boundary and no batch ever mixes model versions.
 
-**Failure model.**  The worker is *restartable*: its queue, tracker,
-batcher and monitor are plain state owned by this object, and the
-thread is a replaceable execution vehicle.  When the run loop dies
-(a bug — or an :class:`~repro.faults.injector.InjectedFault` from a
-chaos plan), the worker lands in the ``failed`` state with the
-exception preserved; :meth:`restart` mounts a fresh thread over the
-same state and queue, losing at most the single in-flight entry.
-A per-iteration heartbeat lets the
+The worker takes entries off its queue in batches: one hand-off
+moves up to :data:`_PULL_BATCH` entries into the worker's *pulled
+batch*, and the loop steps through them one at a time — fault hook,
+validation, tracker, batcher, heartbeat — exactly as if each had been
+dequeued alone.  Pulled entries are in flight, no longer queued, so a
+``drop_oldest`` queue cannot evict them.
+
+**Failure model.**  The worker is *restartable*: its queue, pulled
+batch, tracker, batcher and monitor are plain state owned by this
+object, and the thread is a replaceable execution vehicle.  When the
+run loop dies (a bug — or an
+:class:`~repro.faults.injector.InjectedFault` from a chaos plan), the
+worker lands in the ``failed`` state with the exception preserved;
+:meth:`restart` mounts a fresh thread over the same state, which
+resumes from the pulled batch and then the queue, losing at most the
+single in-flight entry.  A shard that is never restarted hands its
+pulled batch and its queue to the supervisor's circuit breaker
+(:meth:`drain_backlog`).  A per-iteration heartbeat lets the
 :class:`~repro.serving.supervisor.ShardSupervisor` distinguish dead
 (restart) from wedged (flag) without waiting for drain.  Malformed
 records never reach that path at all: they fail
@@ -44,7 +54,8 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from typing import Callable, Dict, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.capture.weblog import MalformedRecordError, WeblogEntry
 from repro.core.framework import SessionDiagnosis
@@ -77,6 +88,9 @@ _ENTRIES = _REG.counter(
 #: Poll timeout when a shard has nothing batched and nothing queued;
 #: bounds how long shutdown and deadline checks can lag.
 _IDLE_POLL_S = 0.05
+#: Most entries one queue hand-off moves into the worker's pulled
+#: batch: one lock hold and one wake-up per pull instead of per entry.
+_PULL_BATCH = 64
 #: How long a restart waits for a failed shard's thread to finish its
 #: postmortem before refusing to mount a second thread.
 _FAILED_THREAD_JOIN_S = 5.0
@@ -202,6 +216,10 @@ class ShardWorker:
         self.heartbeat_s = 0.0
         #: Per-subscriber high-water timestamp for the monotonicity guard.
         self._last_ts: Dict[str, float] = {}
+        #: Entries pulled from the queue and not yet stepped through, in
+        #: queue order.  The worker owns it, not the thread, so a
+        #: restarted thread resumes from it.
+        self._pending: Deque[WeblogEntry] = deque()
         self._entries_counter = _ENTRIES.labels(shard=str(index))
         self._thread = threading.Thread(
             target=self._run, name=f"repro-shard-{index}", daemon=True
@@ -231,6 +249,11 @@ class ShardWorker:
     def alive(self) -> bool:
         return self._thread.is_alive()
 
+    @property
+    def queued(self) -> int:
+        """Entries waiting for this worker: its pulled batch plus its queue."""
+        return len(self._pending) + self.queue.depth
+
     def heartbeat_age_s(self, now: Optional[float] = None) -> float:
         """Seconds since the run loop last iterated (0 before start)."""
         if self.heartbeat_s == 0.0:
@@ -246,17 +269,13 @@ class ShardWorker:
     def restart(self) -> None:
         """Mount a fresh thread over the surviving shard state.
 
-        The queue (with everything still buffered), tracker, batcher,
-        monitor, health rollups and the monotonicity watermark all
-        carry over; only the entry that was in flight when the previous
-        thread died is lost (at-most-once across a crash boundary).
+        The pulled batch and the queue (with everything still
+        buffered), tracker, batcher, monitor, health rollups and the
+        monotonicity watermark all carry over; only the entry that was
+        in flight when the previous thread died is lost (at-most-once
+        across a crash boundary).
         """
-        if self.state == "failed":
-            # The dying thread publishes "failed" before its postmortem
-            # (telemetry flush, recorder, log); let it finish.
-            self._thread.join(_FAILED_THREAD_JOIN_S)
-        if self._thread.is_alive():
-            raise RuntimeError(f"shard {self.index} is alive; cannot restart")
+        self._await_dead_thread("restart")
         self.error = None
         self.restarts += 1
         self.state = "running"
@@ -267,6 +286,28 @@ class ShardWorker:
             daemon=True,
         )
         self._thread.start()
+
+    def drain_backlog(self) -> List[WeblogEntry]:
+        """Remove and return what a dead shard will never process.
+
+        The circuit-breaker path: the pulled batch first, then the
+        queue, in the order the worker would have stepped through them.
+        Only for a worker whose thread has died — a live thread owns
+        the pulled batch.
+        """
+        self._await_dead_thread("drain its backlog")
+        backlog = list(self._pending)
+        self._pending.clear()
+        backlog.extend(self.queue.drain_remaining())
+        return backlog
+
+    def _await_dead_thread(self, action: str) -> None:
+        if self.state == "failed":
+            # The dying thread publishes "failed" before its postmortem
+            # (telemetry flush, recorder, log); let it finish.
+            self._thread.join(_FAILED_THREAD_JOIN_S)
+        if self._thread.is_alive():
+            raise RuntimeError(f"shard {self.index} is alive; cannot {action}")
 
     def join(self, timeout: Optional[float] = None) -> None:
         self._thread.join(timeout)
@@ -327,16 +368,25 @@ class ShardWorker:
             self._last_ts[entry.subscriber_id] = entry.timestamp_s
 
     def _step(self) -> bool:
-        """Process one queue item or one deadline; False once closed+drained."""
-        until_due = self.batcher.seconds_until_due()
-        wait = _IDLE_POLL_S if until_due is None else min(until_due, _IDLE_POLL_S)
-        try:
-            entry: WeblogEntry = self.queue.get(timeout=wait)
-        except QueueEmpty:
-            self._diagnose(self.batcher.take_due())
-            return True
-        except QueueClosed:
-            return False
+        """Process one entry or one deadline; False once closed+drained.
+
+        The entry comes from the pulled batch; only an empty batch
+        goes back to the queue, for up to :data:`_PULL_BATCH` more.
+        """
+        pending = self._pending
+        if not pending:
+            until_due = self.batcher.seconds_until_due()
+            wait = (
+                _IDLE_POLL_S if until_due is None else min(until_due, _IDLE_POLL_S)
+            )
+            try:
+                pending.extend(self.queue.get_many(_PULL_BATCH, timeout=wait))
+            except QueueEmpty:
+                self._diagnose(self.batcher.take_due())
+                return True
+            except QueueClosed:
+                return False
+        entry = pending.popleft()
         self.entries_processed += 1
         self._entries_counter.inc()
         # Telemetry is inlined here rather than routed through

@@ -36,14 +36,16 @@ Every shard also carries a typed **health state** — ``healthy`` /
   per-iteration heartbeat catches a *wedged* worker (e.g. blocked in a
   subscriber callback) that is technically alive.
 * **Restart.**  :meth:`ShardWorker.restart` mounts a fresh thread over
-  the surviving shard state — same queue (with its backlog), tracker,
-  batcher, monitor — so a restart re-homes the shard's entire pending
-  workload and loses at most one in-flight entry.  Attempts are spaced
+  the surviving shard state — same pulled batch and queue (with its
+  backlog), tracker, batcher, monitor — so a restart re-homes the
+  shard's entire pending workload and loses at most one in-flight
+  entry.  Attempts are spaced
   by exponential backoff so a crash-looping shard cannot spin the CPU.
 * **Circuit breaker.**  After ``max_restarts`` failed revivals the
   shard's circuit opens: the service stops routing to it
-  (``submit`` rejects), everything still queued is quarantined in the
-  dead-letter queue (reason ``circuit_open``), and the service reports
+  (``submit`` rejects), everything it still holds — the worker's
+  pulled batch, then its queue (``drain_backlog``) — is quarantined in
+  the dead-letter queue (reason ``circuit_open``), and the service reports
   itself *degraded* instead of crashing — the paper's operator-network
   setting wants a monitor that limps, not one that takes the tap down.
 
@@ -103,7 +105,8 @@ class ShardSupervisor:
     """Watchdog over a fixed set of :class:`ShardWorker` objects.
 
     Duck-typed over the worker surface (``state``/``alive``/``error``/
-    ``restarts``/``restart()``/``heartbeat_age_s()``/``queue``), so the
+    ``restarts``/``restart()``/``heartbeat_age_s()``/``queued``/
+    ``drain_backlog()``), so the
     socket-backed :class:`~repro.serving.netshard.SocketShardWorker`
     is supervised by the identical state machine: a dead worker
     (process exit, connection lost past its reconnect deadline)
@@ -369,13 +372,13 @@ class ShardSupervisor:
             "shard_restarted",
             shard=shard.index,
             restart=shard.restarts,
-            queue_depth=shard.queue.depth,
+            queue_depth=shard.queued,
         )
         _LOG.info(
             "shard_restarted",
             shard=shard.index,
             restart=shard.restarts,
-            queue_depth=shard.queue.depth,
+            queue_depth=shard.queued,
         )
 
     def _trip_circuit(self, shard: ShardWorker) -> None:
@@ -395,17 +398,17 @@ class ShardSupervisor:
             "circuit_open",
             shard=shard.index,
             restarts=shard.restarts,
-            queued=shard.queue.depth,
+            queued=shard.queued,
             error=repr(shard.error),
         )
         recorder.dump(
             "circuit_open",
             shard=shard.index,
             restarts=shard.restarts,
-            queued=shard.queue.depth,
+            queued=shard.queued,
             error=repr(shard.error),
         )
-        abandoned = shard.queue.drain_remaining()
+        abandoned = shard.drain_backlog()
         for entry in abandoned:
             self._dlq.put(
                 entry,
@@ -473,7 +476,7 @@ class ShardSupervisor:
             "shard_partitioned",
             shard=index,
             heartbeat_age_s=age,
-            queue_depth=shard.queue.depth,
+            queue_depth=shard.queued,
         )
         self._quarantine_partitioned(shard)
 

@@ -1,14 +1,15 @@
-"""Socket-shard fault scenarios under forced thread contention.
+"""Shard fault scenarios under forced thread contention.
 
-Races between a shard handle's thread, its worker and the supervisor
-show up when the interpreter switches threads far more often than it
-does by default.  Each test here sets the switch interval of this test
-process to 10 µs (and restores it afterwards), then runs one fault
-scenario: a worker kill and restart, a connection dropped mid-stream,
-and a partition.  Each runs three times.  Every run asserts the
-invariant the chaos suites use: per subscriber, the service's
-diagnoses equal the serial monitor's, or the fault injector marked
-that subscriber affected.
+Races between a shard's threads, its worker and the supervisor show up
+when the interpreter switches threads far more often than it does by
+default.  Each test here sets the switch interval of this test process
+to 10 µs (and restores it afterwards), then runs one fault scenario: a
+socket worker kill and restart, a thread shard killed while a batch it
+pulled from its queue is pending, a connection dropped mid-stream, and
+a partition.  Each runs three times.  Every run asserts the invariant
+the chaos suites use: per subscriber, the service's diagnoses equal
+the serial monitor's, or the fault injector marked that subscriber
+affected.
 """
 
 from __future__ import annotations
@@ -88,6 +89,45 @@ def test_kill_and_restart(serving_framework, trace, serial, run):
         service.submit_many(trace)
     assert faults.kills_fired == 1
     assert service.router.shards[victim].restarts >= 1
+    _assert_identical_or_affected(
+        service, serial, trace, faults.affected_subscribers
+    )
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_kill_with_a_pulled_batch_pending(serving_framework, trace, serial, run):
+    """A thread shard killed part-way through the batch it pulled from
+    its queue: the restarted thread resumes from that batch."""
+    n_shards, kill_at = 2, 5
+    victim = shard_index(trace[0].subscriber_id, n_shards)
+    faults = FaultInjector(
+        FaultPlan(seed=23, kill_shard=victim, kill_at_entry=kill_at, kill_times=1)
+    )
+    service = QoEService(
+        serving_framework,
+        n_shards=n_shards,
+        queue_capacity=len(trace),
+        faults=faults,
+    )
+    shard = service._shards[victim]
+    inject = shard.fault_hook
+    pulled_at_kill = []
+
+    def observe_then_inject(index, entry, picked_up):
+        if picked_up == kill_at:
+            pulled_at_kill.append(len(shard._pending))
+        inject(index, entry, picked_up)
+
+    shard.fault_hook = observe_then_inject
+    # Queued before the threads start: the victim's first hand-off
+    # pulls a full batch, so the kill lands with most of it pending.
+    for entry in trace:
+        service._shards[shard_index(entry.subscriber_id, n_shards)].queue.put(entry)
+    with service:
+        pass
+    assert faults.kills_fired == 1
+    assert shard.restarts == 1
+    assert pulled_at_kill and pulled_at_kill[0] >= 8
     _assert_identical_or_affected(
         service, serial, trace, faults.affected_subscribers
     )

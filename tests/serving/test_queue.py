@@ -164,6 +164,28 @@ class TestDropPolicies:
         queue.get(timeout=0.0)
         assert depth.labels(queue=name).value == 1
 
+    def test_handoffs_count_calls_that_returned_entries(self):
+        """One hand-off per get_many that returned entries, however many
+        it carried; enqueued grows by the entries one put_many admitted."""
+        registry = get_registry()
+        handoffs = registry.counter(
+            "repro_serving_queue_handoffs_total", labelnames=("queue",)
+        )
+        enqueued = registry.counter(
+            "repro_serving_queue_enqueued_total", labelnames=("queue",)
+        )
+        name = "t-obs-handoffs"
+        before_h = handoffs.labels(queue=name).value
+        before_e = enqueued.labels(queue=name).value
+        queue = BoundedQueue(16, policy="block", name=name)
+        assert queue.put_many(range(10)) == 10
+        assert enqueued.labels(queue=name).value == before_e + 10
+        assert queue.get_many(8, timeout=0.0) == list(range(8))
+        assert queue.get_many(8, timeout=0.0) == [8, 9]
+        with pytest.raises(QueueEmpty):
+            queue.get_many(8, timeout=0.0)
+        assert handoffs.labels(queue=name).value == before_h + 2
+
 
 class TestClose:
     def test_put_after_close_raises(self):

@@ -223,6 +223,49 @@ class TestCircuitBreaker:
         assert health["dead_letter"]["by_reason"].get("circuit_open", 0) > 0
 
 
+class TestCircuitAccountsForThePulledBatch:
+    def test_open_circuit_dead_letters_the_pulled_batch(
+        self, serving_framework, serving_trace
+    ):
+        """A worker killed mid-way through a pulled batch, with no
+        restart budget left: the entries it had pulled but not reached
+        are dead-lettered with the queue's, so every submitted entry is
+        processed, quarantined or the one in flight."""
+        submitted = serving_trace[:200]
+        kill_at = 5
+        passed = []
+        pulled_at_kill = []
+        dlq = DeadLetterQueue()
+        shard = _single_shard(serving_framework, name="t-pulled")
+
+        def kill_mid_batch(index, entry, picked_up):
+            if picked_up == kill_at:
+                pulled_at_kill.append(len(shard._pending))
+                raise InjectedFault(f"killed at entry {picked_up}")
+            passed.append(entry)
+
+        shard.fault_hook = kill_mid_batch
+        # Queued before the thread starts: its first hand-off pulls a
+        # full batch, so the kill lands with most of it still pending.
+        for entry in submitted:
+            shard.queue.put(entry)
+        supervisor = ShardSupervisor(
+            [shard], dlq, max_restarts=0, poll_interval_s=0.005
+        )
+        shard.start()
+        supervisor.start()
+        assert _wait_for(lambda: supervisor.circuit_open(0))
+        supervisor.stop()
+
+        assert pulled_at_kill and pulled_at_kill[0] >= 8
+        assert set(dlq.by_reason) == {"circuit_open"}
+        quarantined = dlq.by_reason["circuit_open"]
+        assert len(passed) + quarantined + 1 == len(submitted)
+        assert shard.queued == 0
+        # The pulled batch is quarantined first, in queue order.
+        assert [letter.entry for letter in dlq.items()] == submitted[kill_at:]
+
+
 class TestDrainUnderFailure:
     def test_drain_mid_restart_still_flushes_backlog(
         self, serving_framework, serving_trace
