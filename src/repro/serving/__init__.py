@@ -16,7 +16,8 @@ that serving substrate:
     each owning its own tracker + monitor so per-subscriber order and
     health/alarm semantics are exactly the serial monitor's.  Workers
     are *restartable*: the thread is a replaceable vehicle over
-    surviving queue/tracker/monitor state.
+    surviving queue/tracker/monitor state.  Every shard, on every
+    backend, is built from one ``ShardSpec`` settings record.
 ``framing`` / ``netshard`` / ``placement``
     The same shard, out of process, over one socket transport:
     length-prefixed CRC-checked framing, workers placed per a
@@ -99,7 +100,7 @@ from .queue import (
 )
 from .replay import ReplayStats, TraceReplayer, synthetic_trace
 from .service import QoEService
-from .shard import ShardWorker, shard_index
+from .shard import ShardSpec, ShardWorker, shard_index
 from .supervisor import SHARD_STATES, ShardSupervisor
 
 __all__ = [
@@ -131,6 +132,7 @@ __all__ = [
     "ModelManager",
     "QoEService",
     "ShardSupervisor",
+    "ShardSpec",
     "ShardWorker",
     "shard_index",
     "ReplayStats",

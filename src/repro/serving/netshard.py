@@ -134,7 +134,6 @@ from repro.obs import (
 from repro.online.early import ConvergenceReport, ProvisionalDiagnosis
 from repro.realtime.monitor import Alarm, SubscriberHealth
 
-from .batcher import MicroBatcher
 from .dlq import DeadLetterQueue
 from .framing import (
     DEFAULT_MAX_FRAME_BYTES,
@@ -145,7 +144,7 @@ from .framing import (
 )
 from .models import ModelManager
 from .queue import BoundedQueue, QueueClosed, QueueEmpty, QueueFull
-from .shard import ShardWorker
+from .shard import ShardSpec, ShardWorker
 
 __all__ = [
     "NetShardConfig",
@@ -238,9 +237,9 @@ class ShardConnectionLost(RuntimeError):
 class NetShardConfig:
     """Everything a socket shard worker needs, picklable for launch/hello.
 
-    The shard's :class:`ShardWorker` knobs plus the fault plan's
-    remaining budgets: ``kill_at_entry`` / ``kill_times`` (the parent
-    decrements them across restarts), ``partition_at_entry`` /
+    The shard's :class:`~repro.serving.shard.ShardSpec` plus the fault
+    plan's remaining budgets: ``kill_at_entry`` / ``kill_times`` (the
+    parent decrements them across restarts), ``partition_at_entry`` /
     ``partition_secs`` carry the fault plan's *partition* spec for this
     shard (the worker goes reachable-but-silent for that long after
     accepting its N-th entry), and ``ship_registry`` is switched off
@@ -249,15 +248,7 @@ class NetShardConfig:
 
     index: int
     framework: Optional[QoEFramework] = None
-    queue_capacity: int = 1024
-    max_batch: int = 32
-    max_delay_s: float = 0.25
-    idle_gap_s: float = 30.0
-    min_media_chunks: int = 3
-    severe_alarm_after: int = 3
-    stall_ratio_alarm: float = 0.5
-    min_sessions_for_ratio: int = 5
-    clock_skew_tolerance_s: float = 5.0
+    spec: ShardSpec = ShardSpec()
     telemetry: bool = True
     sample_every: int = 128
     kill_at_entry: int = 0
@@ -265,10 +256,7 @@ class NetShardConfig:
     partition_at_entry: int = 0
     partition_secs: float = 0.0
     heartbeat_interval_s: float = 0.25
-    early_after_chunks: Optional[int] = None
-    early_confidence: float = 0.0
     ship_registry: bool = True
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
 
 
 @dataclass
@@ -408,12 +396,13 @@ class _WorkerState:
             return
         if config is None or config.framework is None:
             raise FrameError("hello carried no model for an unconfigured worker")
+        if "spec" not in vars(config):
+            # Pickled by another code version, whose shard settings
+            # this one does not read: refuse it rather than run the
+            # default spec.
+            raise FrameError("hello config is from another code version")
         self.config = config
-        self.queue = BoundedQueue(
-            capacity=config.queue_capacity,
-            policy="block",
-            name=f"shard{config.index}n",
-        )
+        self.queue = config.spec.ingest_queue(f"shard{config.index}n")
         self.shard_tel = (
             PipelineTelemetry(sample_every=config.sample_every).for_shard(
                 config.index
@@ -423,23 +412,13 @@ class _WorkerState:
         )
         self.kills = _KillBudget(config.kill_at_entry, config.kill_times)
         self.worker = ShardWorker(
-            index=config.index,
-            models=ModelManager(config.framework),
-            queue=self.queue,
-            batcher=MicroBatcher(
-                max_batch=config.max_batch, max_delay_s=config.max_delay_s
-            ),
-            idle_gap_s=config.idle_gap_s,
-            min_media_chunks=config.min_media_chunks,
-            severe_alarm_after=config.severe_alarm_after,
-            stall_ratio_alarm=config.stall_ratio_alarm,
-            min_sessions_for_ratio=config.min_sessions_for_ratio,
+            config.index,
+            ModelManager(config.framework),
+            self.queue,
+            config.spec,
             dead_letters=self.letters,
-            clock_skew_tolerance_s=config.clock_skew_tolerance_s,
             fault_hook=self.kills.hook if config.kill_times > 0 else None,
             telemetry=self.shard_tel,
-            early_after_chunks=config.early_after_chunks,
-            early_confidence=config.early_confidence,
         )
         self.worker.start()
 
@@ -469,9 +448,9 @@ class _WorkerState:
 
     def flush_outputs(self, stream: FrameStream) -> None:
         worker = self.worker
-        diagnoses = worker.monitor.diagnoses
-        alarms = worker.monitor.alarms
-        provisional = worker.monitor.provisional
+        diagnoses = worker.diagnoses
+        alarms = worker.alarms
+        provisional = worker.provisional
         # Snapshot each length exactly once: the shard thread appends
         # to these lists concurrently, and a cursor taken from a
         # *re-read* len() after the send would mark items as sent that
@@ -573,8 +552,8 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
         stream.send(
             "hb",
             {
-                "open_sessions": worker.monitor.tracker.open_sessions,
-                "pending": worker.batcher.pending,
+                "open_sessions": worker.open_sessions,
+                "pending": worker.pending_batch,
                 "recv_seq": acked_seq,
             },
         )
@@ -637,7 +616,7 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
             stream.send(
                 "drained",
                 {
-                    "health": dict(worker.monitor.health),
+                    "health": dict(worker.health),
                     "entries_processed": worker.entries_processed,
                     "quarantined": worker.quarantined,
                     "early_report": worker.early_report(),
@@ -693,6 +672,9 @@ def run_worker(
     on_port:
         Called once with the actually bound port (``port=0`` binds an
         ephemeral one).
+    max_frame_bytes:
+        Largest frame this worker reads, on every connection it
+        accepts; a peer's larger frame drops that connection.
     in_process:
         True when the worker shares the parent's process: skips
         registry shipping (the metrics are already local).
@@ -738,12 +720,7 @@ def run_worker(
                 except OSError:
                     pass
                 continue
-            stream = FrameStream(
-                conn,
-                max_frame_bytes=(
-                    st.config.max_frame_bytes if st.config else max_frame_bytes
-                ),
-            )
+            stream = FrameStream(conn, max_frame_bytes=max_frame_bytes)
             try:
                 outcome = _serve_connection(stream, st)
             except (FrameError, OSError) as exc:
@@ -816,25 +793,6 @@ def start_inproc_worker(
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-
-
-class _RemoteTracker:
-    def __init__(self) -> None:
-        self.open_sessions = 0
-
-
-class _RemoteMonitorView:
-    """Duck-typed stand-in for the worker's ``RealTimeMonitor``."""
-
-    def __init__(self) -> None:
-        self.health: Dict[str, SubscriberHealth] = {}
-        self.callback_errors = 0
-        self.tracker = _RemoteTracker()
-
-
-class _RemoteBatcherView:
-    def __init__(self) -> None:
-        self.pending = 0
 
 
 class SocketShardWorker:
@@ -923,8 +881,12 @@ class SocketShardWorker:
         self._slow_link = slow_link
         self._models = models
         self._mp = _worker_context() if mode == "local" else None
-        self.monitor = _RemoteMonitorView()
-        self.batcher = _RemoteBatcherView()
+        # The read surface QoEService shares with ShardWorker, as the
+        # worker last reported it.
+        self.open_sessions = 0
+        self.pending_batch = 0
+        self.health: Dict[str, SubscriberHealth] = {}
+        self.callback_errors = 0
         self.diagnoses: List[SessionDiagnosis] = []
         self.alarms: List[Alarm] = []
         self.provisional: List[ProvisionalDiagnosis] = []
@@ -1033,8 +995,8 @@ class SocketShardWorker:
             raise RuntimeError(f"shard {self.index} is alive; cannot restart")
         self.error = None
         self.restarts += 1
-        self.monitor.tracker.open_sessions = 0
-        self.batcher.pending = 0
+        self.open_sessions = 0
+        self.pending_batch = 0
         self._reset_incarnation()
         self._begin("on restart")
 
@@ -1338,8 +1300,8 @@ class SocketShardWorker:
             if self._fold is not None:
                 self._fold(payload)
         elif kind == "hb":
-            self.monitor.tracker.open_sessions = payload["open_sessions"]
-            self.batcher.pending = payload["pending"]
+            self.open_sessions = payload["open_sessions"]
+            self.pending_batch = payload["pending"]
             self._prune_unacked(payload["recv_seq"])
         elif kind == "dying":
             self._death_report = payload
@@ -1448,7 +1410,7 @@ class SocketShardWorker:
         try:
             callback(payload)
         except Exception:
-            self.monitor.callback_errors += 1
+            self.callback_errors += 1
             _LOG.exception(
                 "netshard_callback_failed", shard=self.index, callback=name
             )
@@ -1473,7 +1435,7 @@ class SocketShardWorker:
         self.quarantined = self._quarantined_base + out["quarantined"]
 
     def _apply_drained(self, payload: Dict) -> None:
-        self.monitor.health.update(payload["health"])
+        self.health.update(payload["health"])
         report = payload.get("early_report")
         if report is not None:
             self._early_report = (
@@ -1481,8 +1443,8 @@ class SocketShardWorker:
                 if self._early_report is None
                 else self._early_report.merge(report)
             )
-        self.monitor.tracker.open_sessions = 0
-        self.batcher.pending = 0
+        self.open_sessions = 0
+        self.pending_batch = 0
         self._close_stream()
         self.state = "stopped"
 

@@ -51,6 +51,7 @@ from .dlq import DeadLetterQueue
 from .models import ModelManager
 from .netshard import NetShardConfig, SocketOpts, SocketShardWorker
 from .queue import BoundedQueue
+from .shard import ShardSpec
 
 __all__ = ["RegistryFolder", "ShardPlacement", "SocketShardRouter"]
 
@@ -177,8 +178,10 @@ class ShardPlacement:
 class SocketShardRouter:
     """Constructs and owns the socket-shard fleet for one service.
 
-    One parent-side queue + config per shard, all sharing one
-    :class:`RegistryFolder` and the service's DLQ; kill *and*
+    One parent-side ingest queue (built by the service) and one
+    :class:`~repro.serving.netshard.NetShardConfig` carrying the
+    service's :class:`~repro.serving.shard.ShardSpec` per shard, all
+    sharing one :class:`RegistryFolder` and the service's DLQ; kill *and*
     partition specs come from the fault injector by value, and the
     ``slow_link`` delay hook is threaded into every worker's I/O thread.
     Every worker holds the service's :class:`ModelManager` and reads
@@ -190,25 +193,15 @@ class SocketShardRouter:
         placement: ShardPlacement,
         models: ModelManager,
         dead_letters: DeadLetterQueue,
-        queue_capacity: int = 1024,
-        policy: str = "block",
-        max_batch: int = 32,
-        max_delay_s: float = 0.25,
-        idle_gap_s: float = 30.0,
-        min_media_chunks: int = 3,
-        severe_alarm_after: int = 3,
-        stall_ratio_alarm: float = 0.5,
-        min_sessions_for_ratio: int = 5,
-        clock_skew_tolerance_s: float = 5.0,
+        queues: List[BoundedQueue],
+        spec: ShardSpec,
         telemetry: bool = True,
         sample_every: int = 128,
         on_diagnosis: Optional[Callable[[SessionDiagnosis], None]] = None,
         on_alarm: Optional[Callable[[Alarm], None]] = None,
+        on_provisional=None,
         faults=None,
         registry: Optional[MetricsRegistry] = None,
-        early_after_chunks: Optional[int] = None,
-        early_confidence: float = 0.0,
-        on_provisional=None,
         socket_opts: Optional[SocketOpts] = None,
     ) -> None:
         self.placement = placement
@@ -217,7 +210,7 @@ class SocketShardRouter:
         slow_link = None
         if faults is not None and faults.plan.slow_link_fraction > 0.0:
             slow_link = faults.slow_link_delay_s
-        for index in range(placement.n_shards):
+        for index, queue in enumerate(queues):
             kill_at, kill_times = (0, 0)
             partition_at, partition_secs = (0, 0.0)
             if faults is not None:
@@ -229,32 +222,18 @@ class SocketShardRouter:
                     partition_at, partition_secs = partition_spec
             config = NetShardConfig(
                 index=index,
-                queue_capacity=queue_capacity,
-                max_batch=max_batch,
-                max_delay_s=max_delay_s,
-                idle_gap_s=idle_gap_s,
-                min_media_chunks=min_media_chunks,
-                severe_alarm_after=severe_alarm_after,
-                stall_ratio_alarm=stall_ratio_alarm,
-                min_sessions_for_ratio=min_sessions_for_ratio,
-                clock_skew_tolerance_s=clock_skew_tolerance_s,
+                spec=spec,
                 telemetry=telemetry,
                 sample_every=sample_every,
                 kill_at_entry=kill_at,
                 kill_times=kill_times,
                 partition_at_entry=partition_at,
                 partition_secs=partition_secs,
-                early_after_chunks=early_after_chunks,
-                early_confidence=early_confidence,
             )
             self.shards.append(
                 SocketShardWorker(
                     config=config,
-                    queue=BoundedQueue(
-                        capacity=queue_capacity,
-                        policy=policy,
-                        name=f"shard{index}",
-                    ),
+                    queue=queue,
                     dead_letters=dead_letters,
                     mode=placement.mode,
                     address=placement.addresses.get(index),

@@ -71,11 +71,10 @@ from repro.obs import (
 from repro.online.early import ConvergenceReport, ProvisionalDiagnosis
 from repro.realtime.monitor import Alarm, SubscriberHealth
 
-from .batcher import MicroBatcher
 from .dlq import DeadLetterQueue
 from .models import ModelManager
 from .queue import BoundedQueue
-from .shard import ShardWorker, shard_index
+from .shard import ShardSpec, ShardWorker, shard_index
 from .supervisor import ShardSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -139,19 +138,22 @@ class QoEService:
     socket_opts:
         Socket backend only: a
         :class:`~repro.serving.netshard.SocketOpts` (or kwargs dict
-        for one) tuning connect deadlines, read/send timeouts and the
-        unacked-buffer backpressure bound.
-    queue_capacity, policy:
-        Per-shard ingest bound and backpressure policy
+        for one) tuning connect deadlines and backoff, the send timeout,
+        the frame bound, the handshake key and the unacked-buffer
+        backpressure bound.
+    queue_capacity, max_batch, max_delay_s, idle_gap_s, min_media_chunks,
+    severe_alarm_after, stall_ratio_alarm, min_sessions_for_ratio,
+    clock_skew_tolerance_s, early_after_chunks, early_confidence:
+        The shard settings.  They make up :attr:`spec`, the one
+        :class:`~repro.serving.shard.ShardSpec` every shard is built
+        from, whichever backend runs it; see there for each.  With
+        ``early_after_chunks`` set, provisional diagnoses aggregate in
+        :attr:`provisional` and the convergence report in
+        :meth:`early_report`.
+    policy:
+        Backpressure policy of every shard's ingest queue
         (see :mod:`repro.serving.queue`).
-    max_batch, max_delay_s:
-        Micro-batching bounds (see :mod:`repro.serving.batcher`).
-    idle_gap_s, min_media_chunks:
-        Tracker parameters, as in
-        :class:`~repro.realtime.tracker.OnlineSessionTracker`.
-    severe_alarm_after, stall_ratio_alarm, min_sessions_for_ratio:
-        Alarm rules, as in :class:`~repro.realtime.monitor.RealTimeMonitor`.
-    on_diagnosis, on_alarm:
+    on_diagnosis, on_alarm, on_provisional:
         Callbacks, forwarded to every shard's monitor (error-isolated
         there).  Note they run on shard threads.
     max_restarts, restart_backoff_s, supervisor_poll_s, heartbeat_timeout_s:
@@ -163,9 +165,6 @@ class QoEService:
         ones to exit.
     dead_letter_capacity:
         Bound on quarantined records retained for inspection.
-    clock_skew_tolerance_s:
-        Per-subscriber timestamp regression the shards tolerate before
-        quarantining the record as a skewed-clock artifact.
     faults:
         Optional :class:`~repro.faults.FaultInjector` — installs the
         chaos plan's worker-kill hook on every shard and its reload
@@ -184,14 +183,6 @@ class QoEService:
         Directory for the flight recorder's JSON postmortems (written
         when a circuit opens, a shard dies or drain times out).
         ``None`` keeps the event ring but writes nothing.
-    early_after_chunks, early_confidence, on_provisional:
-        Early prediction (see :mod:`repro.online`): when
-        ``early_after_chunks`` is set, every shard emits provisional
-        diagnoses on open sessions once they reach that many media
-        chunks, filtered to combined confidence >=
-        ``early_confidence``; they aggregate in :attr:`provisional`
-        and the convergence report in :meth:`early_report`.  ``None``
-        (default) leaves the per-record hot path untouched.
     """
 
     def __init__(
@@ -275,26 +266,29 @@ class QoEService:
         )
         self.recorder = FlightRecorder(postmortem_dir=postmortem_dir)
         self.router = None
-        #: Knobs the degradation ladder needs to build a serial
-        #: fallback worker after every remote shard circuit-opens.
-        self._shard_knobs = {
-            "queue_capacity": queue_capacity,
-            "max_batch": max_batch,
-            "max_delay_s": max_delay_s,
-            "idle_gap_s": idle_gap_s,
-            "min_media_chunks": min_media_chunks,
-            "severe_alarm_after": severe_alarm_after,
-            "stall_ratio_alarm": stall_ratio_alarm,
-            "min_sessions_for_ratio": min_sessions_for_ratio,
-            "clock_skew_tolerance_s": clock_skew_tolerance_s,
-            "on_diagnosis": on_diagnosis,
-            "on_alarm": on_alarm,
-            "on_provisional": on_provisional,
-            "early_after_chunks": early_after_chunks,
-            "early_confidence": early_confidence,
-        }
+        #: The one recipe every shard of this service is built from:
+        #: thread shards, socket workers and the serial fallback.
+        self.spec = ShardSpec(
+            queue_capacity=queue_capacity,
+            max_batch=max_batch,
+            max_delay_s=max_delay_s,
+            idle_gap_s=idle_gap_s,
+            min_media_chunks=min_media_chunks,
+            severe_alarm_after=severe_alarm_after,
+            stall_ratio_alarm=stall_ratio_alarm,
+            min_sessions_for_ratio=min_sessions_for_ratio,
+            clock_skew_tolerance_s=clock_skew_tolerance_s,
+            early_after_chunks=early_after_chunks,
+            early_confidence=early_confidence,
+        )
+        self._on_diagnosis = on_diagnosis
+        self._on_alarm = on_alarm
+        self._on_provisional = on_provisional
         self._fallback: Optional[ShardWorker] = None
         self._fallback_lock = threading.Lock()
+        queues = [
+            self.spec.ingest_queue(f"shard{i}", policy) for i in range(n_shards)
+        ]
         if shard_backend == "socket":
             # Local import: pulls in the socket transport stack the
             # thread backend never needs.
@@ -315,16 +309,8 @@ class QoEService:
                 placement=parsed,
                 models=self.models,
                 dead_letters=self.dead_letters,
-                queue_capacity=queue_capacity,
-                policy=policy,
-                max_batch=max_batch,
-                max_delay_s=max_delay_s,
-                idle_gap_s=idle_gap_s,
-                min_media_chunks=min_media_chunks,
-                severe_alarm_after=severe_alarm_after,
-                stall_ratio_alarm=stall_ratio_alarm,
-                min_sessions_for_ratio=min_sessions_for_ratio,
-                clock_skew_tolerance_s=clock_skew_tolerance_s,
+                queues=queues,
+                spec=self.spec,
                 telemetry=self.telemetry is not None,
                 sample_every=(
                     self.telemetry.sample_every
@@ -333,46 +319,16 @@ class QoEService:
                 ),
                 on_diagnosis=on_diagnosis,
                 on_alarm=on_alarm,
-                faults=faults,
-                early_after_chunks=early_after_chunks,
-                early_confidence=early_confidence,
                 on_provisional=on_provisional,
+                faults=faults,
                 socket_opts=opts,
             )
             self._shards: List[ShardWorker] = self.router.shards
         else:
+            fault_hook = faults.shard_fault_hook if faults is not None else None
             self._shards = [
-                ShardWorker(
-                    index=i,
-                    models=self.models,
-                    queue=BoundedQueue(
-                        capacity=queue_capacity, policy=policy, name=f"shard{i}"
-                    ),
-                    batcher=MicroBatcher(
-                        max_batch=max_batch, max_delay_s=max_delay_s
-                    ),
-                    idle_gap_s=idle_gap_s,
-                    min_media_chunks=min_media_chunks,
-                    severe_alarm_after=severe_alarm_after,
-                    stall_ratio_alarm=stall_ratio_alarm,
-                    min_sessions_for_ratio=min_sessions_for_ratio,
-                    on_diagnosis=on_diagnosis,
-                    on_alarm=on_alarm,
-                    dead_letters=self.dead_letters,
-                    clock_skew_tolerance_s=clock_skew_tolerance_s,
-                    fault_hook=(
-                        faults.shard_fault_hook if faults is not None else None
-                    ),
-                    telemetry=(
-                        self.telemetry.for_shard(i)
-                        if self.telemetry is not None
-                        else None
-                    ),
-                    early_after_chunks=early_after_chunks,
-                    early_confidence=early_confidence,
-                    on_provisional=on_provisional,
-                )
-                for i in range(n_shards)
+                self._thread_shard(i, queue, fault_hook)
+                for i, queue in enumerate(queues)
             ]
         self.supervisor = ShardSupervisor(
             self._shards,
@@ -538,36 +494,8 @@ class QoEService:
         """
         with self._fallback_lock:
             if self._fallback is None:
-                knobs = self._shard_knobs
-                worker = ShardWorker(
-                    index=self.n_shards,
-                    models=self.models,
-                    queue=BoundedQueue(
-                        capacity=knobs["queue_capacity"],
-                        policy="block",
-                        name="fallback",
-                    ),
-                    batcher=MicroBatcher(
-                        max_batch=knobs["max_batch"],
-                        max_delay_s=knobs["max_delay_s"],
-                    ),
-                    idle_gap_s=knobs["idle_gap_s"],
-                    min_media_chunks=knobs["min_media_chunks"],
-                    severe_alarm_after=knobs["severe_alarm_after"],
-                    stall_ratio_alarm=knobs["stall_ratio_alarm"],
-                    min_sessions_for_ratio=knobs["min_sessions_for_ratio"],
-                    on_diagnosis=knobs["on_diagnosis"],
-                    on_alarm=knobs["on_alarm"],
-                    dead_letters=self.dead_letters,
-                    clock_skew_tolerance_s=knobs["clock_skew_tolerance_s"],
-                    telemetry=(
-                        self.telemetry.for_shard(self.n_shards)
-                        if self.telemetry is not None
-                        else None
-                    ),
-                    early_after_chunks=knobs["early_after_chunks"],
-                    early_confidence=knobs["early_confidence"],
-                    on_provisional=knobs["on_provisional"],
+                worker = self._thread_shard(
+                    self.n_shards, self.spec.ingest_queue("fallback")
                 )
                 worker.start()
                 self._fallback = worker
@@ -581,6 +509,31 @@ class QoEService:
                     "degrading to the in-process serial monitor",
                 )
         return self._fallback
+
+    def _thread_shard(
+        self,
+        index: int,
+        queue: BoundedQueue,
+        fault_hook: Optional[Callable[[int, WeblogEntry, int], None]] = None,
+    ) -> ShardWorker:
+        """An in-process shard over ``queue``: a thread shard or the
+        serial fallback, built from :attr:`spec`."""
+        return ShardWorker(
+            index,
+            self.models,
+            queue,
+            self.spec,
+            dead_letters=self.dead_letters,
+            on_diagnosis=self._on_diagnosis,
+            on_alarm=self._on_alarm,
+            on_provisional=self._on_provisional,
+            fault_hook=fault_hook,
+            telemetry=(
+                self.telemetry.for_shard(index)
+                if self.telemetry is not None
+                else None
+            ),
+        )
 
     def _all_shards(self) -> List[ShardWorker]:
         if self._fallback is not None:
@@ -720,14 +673,12 @@ class QoEService:
         """Merged per-subscriber health (subscribers never span shards)."""
         merged: Dict[str, SubscriberHealth] = {}
         for shard in self._all_shards():
-            merged.update(shard.monitor.health)
+            merged.update(shard.health)
         return merged
 
     @property
     def callback_errors(self) -> int:
-        return sum(
-            shard.monitor.callback_errors for shard in self._all_shards()
-        )
+        return sum(shard.callback_errors for shard in self._all_shards())
 
     # ------------------------------------------------------------------
     # Health / readiness
@@ -780,8 +731,8 @@ class QoEService:
                     "queue_dropped": shard.queue.dropped,
                     "entries_processed": shard.entries_processed,
                     "quarantined": shard.quarantined,
-                    "open_sessions": shard.monitor.tracker.open_sessions,
-                    "pending_batch": shard.batcher.pending,
+                    "open_sessions": shard.open_sessions,
+                    "pending_batch": shard.pending_batch,
                     "diagnoses": len(shard.diagnoses),
                     "alarms": len(shard.alarms),
                     "provisional": len(shard.provisional),

@@ -55,6 +55,7 @@ import threading
 import time
 import zlib
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.capture.weblog import MalformedRecordError, WeblogEntry
@@ -66,7 +67,7 @@ from repro.online.early import (
     EarlyPredictor,
     ProvisionalDiagnosis,
 )
-from repro.realtime.monitor import Alarm, RealTimeMonitor
+from repro.realtime.monitor import Alarm, RealTimeMonitor, SubscriberHealth
 from repro.realtime.tracker import OnlineSessionTracker
 
 from .batcher import MicroBatcher
@@ -74,7 +75,7 @@ from .dlq import DeadLetterQueue
 from .models import ModelManager
 from .queue import BoundedQueue, QueueClosed, QueueEmpty
 
-__all__ = ["shard_index", "ShardWorker"]
+__all__ = ["shard_index", "ShardSpec", "ShardWorker"]
 
 _LOG = get_logger("serving.shard")
 
@@ -108,20 +109,80 @@ def shard_index(subscriber_id: str, n_shards: int) -> int:
     return zlib.crc32(subscriber_id.encode("utf-8")) % n_shards
 
 
+@dataclass(frozen=True)
+class ShardSpec:
+    """The settings that define one shard, whatever backend runs it.
+
+    :class:`~repro.serving.service.QoEService` builds one spec and
+    every shard it starts — a thread shard, a socket worker (the spec
+    rides in its :class:`~repro.serving.netshard.NetShardConfig`) or
+    the serial fallback — is built from it, so no backend can run a
+    setting the others do not.
+
+    Attributes
+    ----------
+    queue_capacity:
+        Bound of the shard's ingest queue (see :mod:`repro.serving.queue`).
+    max_batch, max_delay_s:
+        Micro-batching bounds (see :mod:`repro.serving.batcher`).
+    idle_gap_s, min_media_chunks:
+        Tracker parameters, as in
+        :class:`~repro.realtime.tracker.OnlineSessionTracker`.
+    severe_alarm_after, stall_ratio_alarm, min_sessions_for_ratio:
+        Alarm rules, as in :class:`~repro.realtime.monitor.RealTimeMonitor`.
+    clock_skew_tolerance_s:
+        How far a subscriber's timestamps may regress before the entry
+        is treated as a skewed-clock artifact and quarantined.
+    early_after_chunks, early_confidence:
+        Enable the early-prediction path: an
+        :class:`~repro.online.early.EarlyPredictor` reads each open
+        session's chunk prefix from the shard's tracker and emits
+        provisional diagnoses after that many chunks, filtered to
+        combined confidence >= ``early_confidence``.  ``None``
+        (default) keeps the per-record hot path identical to the
+        pre-early pipeline.
+    """
+
+    queue_capacity: int = 1024
+    max_batch: int = 32
+    max_delay_s: float = 0.25
+    idle_gap_s: float = 30.0
+    min_media_chunks: int = 3
+    severe_alarm_after: int = 3
+    stall_ratio_alarm: float = 0.5
+    min_sessions_for_ratio: int = 5
+    clock_skew_tolerance_s: float = 5.0
+    early_after_chunks: Optional[int] = None
+    early_confidence: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.clock_skew_tolerance_s < 0:
+            raise ValueError("clock_skew_tolerance_s must be >= 0")
+
+    def ingest_queue(self, name: str, policy: str = "block") -> BoundedQueue:
+        """A shard ingest queue of this spec's capacity."""
+        return BoundedQueue(
+            capacity=self.queue_capacity, policy=policy, name=name
+        )
+
+
 class ShardWorker:
     """One shard: a thread draining its queue into tracker + batcher + monitor.
 
     Not constructed directly in normal use —
     :class:`~repro.serving.service.QoEService` builds one per shard.
+    The worker builds its own batcher, tracker, monitor and early
+    predictor from ``spec`` (a :class:`ShardSpec`).
 
-    Parameters beyond the PR-3 set
-    ------------------------------
+    Parameters
+    ----------
     dead_letters:
         Shared :class:`DeadLetterQueue` for rejected records (a private
         one is created when omitted, for standalone use in tests).
-    clock_skew_tolerance_s:
-        How far a subscriber's timestamps may regress before the entry
-        is treated as a skewed-clock artifact and quarantined.
+    on_diagnosis, on_alarm, on_provisional:
+        Callbacks, forwarded to the shard's monitor (error-isolated
+        there); provisional diagnoses are also collected in
+        :attr:`provisional`.
     fault_hook:
         Chaos-plan hook called with ``(shard_index, entry, picked_up)``
         for every dequeued entry; may raise to kill this worker.
@@ -130,14 +191,7 @@ class ShardWorker:
         present, every dequeued record's trace context (attached by
         ``QoEService.submit``) is advanced through the stage
         timestamps and its durations buffered for the staged latency
-        histograms.  ``None`` keeps the PR-5 hot path untouched.
-    early_after_chunks / early_confidence / on_provisional:
-        Enable the early-prediction path: an
-        :class:`~repro.online.early.EarlyPredictor` reads each open
-        session's chunk prefix from the shard's tracker and emits
-        provisional diagnoses after that many chunks (collected in
-        :attr:`provisional`).  ``None`` (default) keeps the per-record
-        hot path identical to the pre-early pipeline.
+        histograms.  ``None`` keeps the uninstrumented hot path untouched.
     """
 
     def __init__(
@@ -145,46 +199,40 @@ class ShardWorker:
         index: int,
         models: ModelManager,
         queue: BoundedQueue,
-        batcher: MicroBatcher,
-        idle_gap_s: float = 30.0,
-        min_media_chunks: int = 3,
-        severe_alarm_after: int = 3,
-        stall_ratio_alarm: float = 0.5,
-        min_sessions_for_ratio: int = 5,
+        spec: ShardSpec = ShardSpec(),
+        *,
+        dead_letters: Optional[DeadLetterQueue] = None,
         on_diagnosis: Optional[Callable[[SessionDiagnosis], None]] = None,
         on_alarm: Optional[Callable[[Alarm], None]] = None,
-        dead_letters: Optional[DeadLetterQueue] = None,
-        clock_skew_tolerance_s: float = 5.0,
+        on_provisional: Optional[Callable[[ProvisionalDiagnosis], None]] = None,
         fault_hook: Optional[Callable[[int, WeblogEntry, int], None]] = None,
         telemetry: Optional[ShardTelemetry] = None,
-        early_after_chunks: Optional[int] = None,
-        early_confidence: float = 0.0,
-        on_provisional: Optional[Callable[[ProvisionalDiagnosis], None]] = None,
     ) -> None:
-        if clock_skew_tolerance_s < 0:
-            raise ValueError("clock_skew_tolerance_s must be >= 0")
         self.index = index
         self.queue = queue
-        self.batcher = batcher
+        self.spec = spec
+        self.batcher = MicroBatcher(
+            max_batch=spec.max_batch, max_delay_s=spec.max_delay_s
+        )
         self._models = models
         early = (
             EarlyPredictor(
                 models.current,
-                after_chunks=early_after_chunks,
-                min_confidence=early_confidence,
+                after_chunks=spec.early_after_chunks,
+                min_confidence=spec.early_confidence,
             )
-            if early_after_chunks is not None
+            if spec.early_after_chunks is not None
             else None
         )
         self.monitor = RealTimeMonitor(
             models.current,
             tracker=OnlineSessionTracker(
-                idle_gap_s=idle_gap_s,
-                min_media_chunks=min_media_chunks,
+                idle_gap_s=spec.idle_gap_s,
+                min_media_chunks=spec.min_media_chunks,
             ),
-            severe_alarm_after=severe_alarm_after,
-            stall_ratio_alarm=stall_ratio_alarm,
-            min_sessions_for_ratio=min_sessions_for_ratio,
+            severe_alarm_after=spec.severe_alarm_after,
+            stall_ratio_alarm=spec.stall_ratio_alarm,
+            min_sessions_for_ratio=spec.min_sessions_for_ratio,
             on_diagnosis=on_diagnosis,
             on_alarm=on_alarm,
             early=early,
@@ -200,7 +248,7 @@ class ShardWorker:
         self.dead_letters = (
             dead_letters if dead_letters is not None else DeadLetterQueue()
         )
-        self.clock_skew_tolerance_s = clock_skew_tolerance_s
+        self.clock_skew_tolerance_s = spec.clock_skew_tolerance_s
         self.fault_hook = fault_hook
         self.telemetry = telemetry
         self.entries_processed = 0
@@ -238,6 +286,24 @@ class ShardWorker:
     @property
     def provisional(self) -> List[ProvisionalDiagnosis]:
         return self.monitor.provisional
+
+    # The read surface QoEService shares with SocketShardWorker.
+
+    @property
+    def open_sessions(self) -> int:
+        return self.monitor.tracker.open_sessions
+
+    @property
+    def pending_batch(self) -> int:
+        return self.batcher.pending
+
+    @property
+    def health(self) -> Dict[str, SubscriberHealth]:
+        return self.monitor.health
+
+    @property
+    def callback_errors(self) -> int:
+        return self.monitor.callback_errors
 
     def early_report(self) -> Optional[ConvergenceReport]:
         """Provisional-vs-final convergence (None when early is off)."""

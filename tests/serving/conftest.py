@@ -43,3 +43,18 @@ def alarm_multiset(alarms):
     return sorted(
         (a.subscriber_id, a.reason, a.sessions_observed) for a in alarms
     )
+
+
+def provisional_multiset(provisional):
+    """Order-insensitive canonical form, confidences included."""
+    return sorted(
+        (
+            p.session_id,
+            p.n_chunks,
+            p.stall_class,
+            p.stall_confidence,
+            p.representation_class,
+            p.representation_confidence,
+        )
+        for p in provisional
+    )

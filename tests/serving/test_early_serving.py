@@ -20,24 +20,13 @@ from repro.realtime.monitor import RealTimeMonitor
 from repro.realtime.tracker import OnlineSessionTracker
 from repro.serving.service import QoEService
 
-from tests.serving.conftest import alarm_multiset, diagnosis_multiset
+from tests.serving.conftest import (
+    alarm_multiset,
+    diagnosis_multiset,
+    provisional_multiset,
+)
 
 AFTER_CHUNKS = 4
-
-
-def provisional_multiset(provisional):
-    """Order-insensitive canonical form, confidences included."""
-    return sorted(
-        (
-            p.session_id,
-            p.n_chunks,
-            p.stall_class,
-            p.stall_confidence,
-            p.representation_class,
-            p.representation_confidence,
-        )
-        for p in provisional
-    )
 
 
 @pytest.fixture(scope="module")

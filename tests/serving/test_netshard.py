@@ -31,7 +31,11 @@ from repro.serving.queue import BoundedQueue, QueueEmpty
 from repro.serving.replay import synthetic_trace
 from repro.serving.shard import shard_index
 
-from tests.serving.conftest import alarm_multiset, diagnosis_multiset
+from tests.serving.conftest import (
+    alarm_multiset,
+    diagnosis_multiset,
+    provisional_multiset,
+)
 
 
 def _subscriber(session_id):
@@ -41,20 +45,6 @@ def _subscriber(session_id):
 def _filtered(diagnoses, excluded):
     return diagnosis_multiset(
         d for d in diagnoses if _subscriber(d.session_id) not in excluded
-    )
-
-
-def _provisional_multiset(provisional):
-    return sorted(
-        (
-            p.session_id,
-            p.n_chunks,
-            p.stall_class,
-            p.stall_confidence,
-            p.representation_class,
-            p.representation_confidence,
-        )
-        for p in provisional
     )
 
 
@@ -148,8 +138,8 @@ class TestSocketDeterminism:
         )
         with service:
             service.submit_many(serving_trace)
-        assert _provisional_multiset(service.provisional) == (
-            _provisional_multiset(reference.provisional)
+        assert provisional_multiset(service.provisional) == (
+            provisional_multiset(reference.provisional)
         )
 
 
@@ -506,6 +496,99 @@ class TestStandaloneWorker:
         )
         worker.join(timeout=10.0)
         assert not worker.is_alive(), "worker should exit after drain"
+
+    def test_frame_bound_holds_after_the_configuring_hello(
+        self, serving_framework
+    ):
+        """The worker's own ``max_frame_bytes`` governs every
+        connection: once a hello has configured it, a reconnecting
+        peer's oversized frame still drops that connection."""
+        import socket as socket_mod
+
+        from repro.serving.framing import (
+            FrameStream,
+            answer_challenge,
+            encode_frame,
+        )
+
+        config = NetShardConfig(index=0, framework=serving_framework)
+        first_hello = {
+            "token": "parent",
+            "shard": 0,
+            "resume": False,
+            "config": config,
+        }
+        bound = len(encode_frame(("hello", first_hello))) + 4096
+        ports = []
+        ready = threading.Event()
+
+        def on_port(port):
+            ports.append(port)
+            ready.set()
+
+        worker = threading.Thread(
+            target=run_worker,
+            kwargs={
+                "port": 0,
+                "on_port": on_port,
+                "max_frame_bytes": bound,
+                "in_process": True,
+            },
+            daemon=True,
+        )
+        worker.start()
+        assert ready.wait(timeout=10.0), "worker never bound"
+
+        def connect(hello):
+            sock = socket_mod.create_connection(
+                ("127.0.0.1", ports[0]), timeout=5.0
+            )
+            answer_challenge(sock, b"")
+            stream = FrameStream(sock)
+            stream.send("hello", hello)
+            ack = stream.recv(timeout=5.0)
+            assert ack is not None and ack[0] == "hello_ack"
+            return stream
+
+        resume = {"token": "parent", "shard": 0, "resume": True}
+        connect(first_hello).close()
+        second = connect(resume)
+        second.send(
+            "entries", {"base_seq": 1, "entries": [], "pad": b"x" * bound}
+        )
+        deadline = time.monotonic() + 5.0
+        with pytest.raises(FrameClosed):
+            while time.monotonic() < deadline:
+                second.recv(timeout=0.5)
+        second.close()
+
+        # The refusal dropped one connection, not the shard: the worker
+        # still drains and exits cleanly.
+        third = connect(resume)
+        third.send("drain", {})
+        kinds = []
+        while "drained" not in kinds:
+            msg = third.recv(timeout=5.0)
+            assert msg is not None, "worker never drained"
+            kinds.append(msg[0])
+        third.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+    def test_config_from_another_code_version_is_refused(
+        self, serving_framework
+    ):
+        """A config pickled without a ``spec`` (another code version's
+        shape) is refused at the hello, not run with default settings."""
+        from repro.serving.framing import FrameError
+        from repro.serving.netshard import _WorkerState
+
+        config = NetShardConfig(index=0, framework=serving_framework)
+        del config.__dict__["spec"]
+        state = _WorkerState(None)
+        with pytest.raises(FrameError, match="another code version"):
+            state.configure(config)
+        assert state.worker is None
 
 
 class TestAuthentication:

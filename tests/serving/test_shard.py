@@ -8,10 +8,9 @@ import pytest
 
 from repro.realtime.monitor import RealTimeMonitor
 from repro.realtime.tracker import OnlineSessionTracker
-from repro.serving.batcher import MicroBatcher
 from repro.serving.models import ModelManager
 from repro.serving.queue import BoundedQueue
-from repro.serving.shard import ShardWorker, shard_index
+from repro.serving.shard import ShardSpec, ShardWorker, shard_index
 
 from tests.serving.conftest import diagnosis_multiset
 
@@ -51,7 +50,7 @@ class TestShardWorker:
             index=0,
             models=ModelManager(framework),
             queue=BoundedQueue(256, name="t-worker"),
-            batcher=MicroBatcher(max_batch=8, max_delay_s=0.05),
+            spec=ShardSpec(max_batch=8, max_delay_s=0.05),
             **kwargs,
         )
 
@@ -109,7 +108,7 @@ class TestShardWorker:
             # max_batch far above the trace's session count: only the
             # deadline can ever release a batch here.
             queue=BoundedQueue(8192, name="t-deadline"),
-            batcher=MicroBatcher(max_batch=1000, max_delay_s=0.05),
+            spec=ShardSpec(max_batch=1000, max_delay_s=0.05),
         )
         worker.start()
         for entry in serving_trace:

@@ -196,6 +196,9 @@ class TestTotalPartition:
             restart_backoff_s=0.01,
             supervisor_poll_s=0.02,
             socket_opts=dict(connect_deadline_s=0.2, connect_backoff_s=0.05),
+            # A non-default setting the fallback must inherit; batch
+            # size cannot change a diagnosis.
+            max_batch=7,
         )
         with service:
             deadline = time.monotonic() + 30.0
@@ -206,6 +209,9 @@ class TestTotalPartition:
             assert len(service.supervisor.open_circuits) == 2
             service.submit_many(chaos_trace)
 
+        # The fallback is built from the service's one spec.
+        assert service._fallback.spec == service.spec
+        assert service._fallback.batcher.max_batch == 7
         health = service.health()
         assert health["serial_fallback"]["engaged"]
         assert health["serial_fallback"]["entries_processed"] == len(

@@ -16,9 +16,8 @@ from repro.serving import (
     QoEService,
     ShardSupervisor,
 )
-from repro.serving.batcher import MicroBatcher
 from repro.serving.queue import BoundedQueue
-from repro.serving.shard import ShardWorker, shard_index
+from repro.serving.shard import ShardSpec, ShardWorker, shard_index
 
 from tests.serving.conftest import diagnosis_multiset
 
@@ -37,7 +36,7 @@ def _single_shard(framework, faults=None, name="t-sup", **kwargs):
         index=0,
         models=ModelManager(framework),
         queue=BoundedQueue(4096, name=name),
-        batcher=MicroBatcher(max_batch=8, max_delay_s=0.05),
+        spec=ShardSpec(max_batch=8, max_delay_s=0.05),
         fault_hook=faults.shard_fault_hook if faults is not None else None,
         **kwargs,
     )
@@ -132,7 +131,7 @@ class TestWorkerRestart:
             index=0,
             models=ModelManager(serving_framework),
             queue=BoundedQueue(64, name="t-postmortem"),
-            batcher=MicroBatcher(max_batch=8, max_delay_s=0.05),
+            spec=ShardSpec(max_batch=8, max_delay_s=0.05),
             fault_hook=kill,
         )
         shard.telemetry = SlowFlush()
