@@ -234,10 +234,10 @@ class ForestDetector:
         during model development (§4).
         """
         from repro.ml.balance import oversample
-        from repro.ml.crossval import clamped_cross_validate
+        from repro.ml.crossval import cross_validate
 
         self._check_fitted()
-        return clamped_cross_validate(
+        return cross_validate(
             self._model_factory,
             self._features_of(records),
             self._truth(records, labels),

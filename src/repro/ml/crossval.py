@@ -22,7 +22,6 @@ __all__ = [
     "stratified_kfold",
     "train_test_split",
     "cross_validate",
-    "clamped_cross_validate",
 ]
 
 
@@ -133,44 +132,18 @@ def cross_validate(
     training, restore originals for testing" protocol.  Folds are
     independent, so ``n_jobs > 1`` fits them in parallel worker
     processes; the pooled report is identical for any ``n_jobs``.
-    """
-    y = np.asarray(y)
-    folds = list(
-        stratified_kfold(y, n_splits=n_splits, random_state=random_state)
-    )
-    return _run_folds(model_factory, X, y, folds, balance, labels, n_jobs)
 
-
-def clamped_cross_validate(
-    model_factory: Callable[[], object],
-    X: np.ndarray,
-    y: np.ndarray,
-    n_splits: int = 10,
-    random_state=None,
-    balance: Optional[Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]] = None,
-    labels: Optional[List] = None,
-    n_jobs: Optional[int] = 1,
-) -> ClassificationReport:
-    """:func:`cross_validate` with the fold count fitted to ``y``.
-
-    The detectors' CV asks for ``n_splits`` folds but never more than
-    the smallest class has members, and never fewer than two.  A class
-    with a single member cannot be both trained on and tested; it is
-    dealt like any other class, so its one sample is tested in fold 0
-    by a model that never saw the class (an honest miss), and trains
-    the model of fold 1.  Every sample is still predicted exactly once.
-    When the smallest class has two or more members this is exactly
-    ``cross_validate(..., n_splits=max(2, min(n_splits, smallest)))``.
+    The fold count is ``n_splits`` but never more than the smallest
+    class has members, and never fewer than two.  A class with a
+    single member cannot be both trained on and tested; it is dealt
+    like any other class, so its one sample is tested in fold 0 by a
+    model that never saw the class (an honest miss), and trains the
+    model of fold 1.  Every sample is still predicted exactly once.
     """
     y = np.asarray(y)
     smallest = int(np.bincount(np.unique(y, return_inverse=True)[1]).min())
     splits = max(2, min(n_splits, smallest))
     folds = list(_dealt_folds(y, splits, True, random_state))
-    return _run_folds(model_factory, X, y, folds, balance, labels, n_jobs)
-
-
-def _run_folds(model_factory, X, y, folds, balance, labels, n_jobs):
-    """Fit and score every (train, test) fold; one pooled report."""
     X = np.asarray(X, dtype=float)
     predictions = np.empty(y.shape, dtype=y.dtype)
     payloads = []

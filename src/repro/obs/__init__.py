@@ -21,8 +21,7 @@ substrate every later performance PR builds on:
     *exposition*, not *prometheus*, to avoid shadowing the
     :mod:`repro.baselines.prometheus` baseline classifier.)
 ``snapshot``
-    JSON snapshot writer (metrics + span trees) for benchmark runs,
-    plus :func:`merge_snapshots` for aggregating per-shard documents.
+    JSON snapshot writer (metrics + span trees) for benchmark runs.
 ``httpd``
     Live ``/metrics`` + ``/health`` endpoint (stdlib ``http.server``
     thread) for long-running serving processes (CLI ``--metrics-port``).
@@ -70,7 +69,7 @@ from .registry import (
     set_registry,
 )
 from .slo import DEFAULT_SLOS, SLO, SLOEngine, parse_slo
-from .snapshot import merge_snapshots, registry_snapshot, write_snapshot
+from .snapshot import registry_snapshot, write_snapshot
 from .tracing import SpanNode, Tracer, current_span, get_tracer, trace, traced
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "start_metrics_server",
     "configure_logging",
     "get_logger",
-    "merge_snapshots",
     "registry_snapshot",
     "write_snapshot",
     "SpanNode",

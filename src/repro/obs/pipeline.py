@@ -24,8 +24,8 @@ spend its 40 ms?*  This module adds the per-record layer:
     plain lists owned by the shard thread and flushed into the
     histograms with :meth:`~repro.obs.registry.Histogram.observe_many`
     at batch boundaries — one lock per stage per batch instead of
-    several per record, which is what keeps full telemetry inside the
-    serving benchmark's 5% overhead gate.
+    several per record.  Full telemetry still costs about +32% on the
+    serving benchmark's replay, against its 5% overhead gate.
 
 Stage semantics (see the ARCHITECTURE "Operational telemetry" table):
 
@@ -154,7 +154,8 @@ class ShardTelemetry:
     aliasing the same buffers: the shard's hot loop appends to them
     directly — one attribute load and one ``list.append`` per stage —
     because at tens of thousands of entries per second even a method
-    call per stage is measurable against the <5% overhead gate.
+    call per stage is measurable (full telemetry already costs about
+    +32% on the serving benchmark's replay, against a 5% gate).
     ``flush`` therefore clears the lists *in place*, preserving the
     aliases.
     """

@@ -16,12 +16,11 @@ import json
 import math
 from typing import Optional
 
-from .registry import MetricsRegistry, estimate_quantile, get_registry
+from .registry import MetricsRegistry, get_registry
 from .tracing import Tracer, get_tracer
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
-    "merge_snapshots",
     "registry_snapshot",
     "write_snapshot",
 ]
@@ -81,109 +80,6 @@ def registry_snapshot(
         "schema": SNAPSHOT_SCHEMA,
         "metrics": metrics,
         "spans": tracer.to_dict(),
-    }
-
-
-def _merge_histogram_samples(acc: dict, sample: dict) -> None:
-    if [b["le"] for b in acc["buckets"]] != [
-        b["le"] for b in sample["buckets"]
-    ]:
-        raise ValueError("cannot merge histograms with different buckets")
-    for mine, theirs in zip(acc["buckets"], sample["buckets"]):
-        mine["count"] += theirs["count"]
-    had, has = acc["count"] > 0, sample["count"] > 0
-    acc["min"] = (
-        min(acc["min"], sample["min"]) if had and has
-        else (sample["min"] if has else acc["min"])
-    )
-    acc["max"] = max(acc["max"], sample["max"])
-    acc["count"] += sample["count"]
-    acc["sum"] += sample["sum"]
-
-
-def _requantile(sample: dict) -> None:
-    """Recompute p50/p90/p99 from the merged cumulative buckets."""
-    bounds = [
-        math.inf if b["le"] == "+Inf" else float(b["le"])
-        for b in sample["buckets"]
-    ]
-    counts, prev = [], 0
-    for b in sample["buckets"]:
-        counts.append(b["count"] - prev)
-        prev = b["count"]
-    sample["quantiles"] = {
-        f"p{int(q * 100)}": _finite(
-            estimate_quantile(
-                bounds, counts, sample["count"], q,
-                sample["min"] if sample["count"] else math.inf,
-                sample["max"] if sample["count"] else -math.inf,
-            )
-        )
-        for q in _QUANTILES
-    }
-
-
-def merge_snapshots(*snapshots: dict) -> dict:
-    """Fold several registry snapshots into one aggregate document.
-
-    The file-level counterpart of :meth:`MetricsRegistry.merge`: given
-    snapshots written by per-shard (or, next, per-process) registries,
-    counters and gauges sum, histogram buckets fold together, and
-    quantiles are re-estimated from the merged buckets.  Span forests
-    concatenate.  Mismatched schemas or histogram buckets raise.
-    """
-    if not snapshots:
-        raise ValueError("merge_snapshots needs at least one snapshot")
-    for snap in snapshots:
-        if snap.get("schema") != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"cannot merge snapshot with schema {snap.get('schema')!r}"
-            )
-    merged_metrics: dict = {}
-    order = []
-    for snap in snapshots:
-        for family in snap["metrics"]:
-            acc = merged_metrics.get(family["name"])
-            if acc is None:
-                acc = {
-                    "name": family["name"],
-                    "type": family["type"],
-                    "help": family["help"],
-                    "samples": [],
-                }
-                merged_metrics[family["name"]] = acc
-                order.append(family["name"])
-            elif acc["type"] != family["type"]:
-                raise ValueError(
-                    f"metric {family['name']!r} is {acc['type']} in one "
-                    f"snapshot and {family['type']} in another"
-                )
-            for sample in family["samples"]:
-                target = next(
-                    (
-                        s for s in acc["samples"]
-                        if s["labels"] == sample["labels"]
-                    ),
-                    None,
-                )
-                if target is None:
-                    acc["samples"].append(json.loads(json.dumps(sample)))
-                elif family["type"] == "histogram":
-                    _merge_histogram_samples(target, sample)
-                else:
-                    target["value"] += sample["value"]
-    for name in order:
-        family = merged_metrics[name]
-        if family["type"] == "histogram":
-            for sample in family["samples"]:
-                _requantile(sample)
-    spans = []
-    for snap in snapshots:
-        spans.extend(snap.get("spans", []))
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "metrics": [merged_metrics[name] for name in order],
-        "spans": spans,
     }
 
 

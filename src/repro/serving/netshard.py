@@ -8,14 +8,12 @@ transport is a length-prefixed, CRC-checked socket frame
 placement map (:mod:`repro.serving.placement`).  The message
 vocabulary::
 
-    parent → worker  ("hello",   {token, shard, resume, config?,
-                                  out_diagnoses/alarms/provisional/
-                                  letters, entries_processed})
-                     ("entries", {base_seq, entries})
+    parent → worker  ("hello",   {protocol, token, shard, config?,
+                                  incarnation, out_acked})
+                     ("entries", {base_seq, entries, out_acked})
                      ("drain",   {})
-    worker → parent  ("hello_ack", {recv_seq, incarnation, configured})
-                     ("out",     {diagnoses, alarms, provisional,
-                                  letters, entries_processed, quarantined})
+    worker → parent  ("hello_ack", {protocol, recv_seq, incarnation})
+                     ("out",     {items, entries_processed, quarantined})
                      ("registry", <state delta>)
                      ("hb",      {open_sessions, pending, recv_seq})
                      ("dying",   {error, kills})       then exit
@@ -39,11 +37,24 @@ design is built around them:
   so the parent's unacked window refills as fast as the worker
   absorbs entries.  The parent retains sent entries in an *unacked*
   buffer until acknowledged — so a dropped connection loses nothing:
-  the reconnect handshake (``hello`` with ``resume=True``) learns the
+  the reconnect handshake (``hello`` → ``hello_ack``) learns the
   worker's ``recv_seq``, prunes the buffer, and resends the gap **in
   order**.  The worker's per-subscriber monotonicity watermark
   therefore survives a reconnect with no duplicate and no regressed
   entry.
+* **One outbox, acknowledged the same way.**  Results travel the
+  other way under the same rule.  Every diagnosis, alarm, provisional
+  diagnosis and dead letter the worker produces is appended, in
+  production order, to one outbox with absolute indices; ``out``
+  frames ship its unshipped suffix.  The parent counts the items it
+  has applied and reports that count as ``out_acked`` in every
+  ``entries`` frame and in every ``hello``; the worker trims the
+  outbox to it, so what the outbox retains is what the parent has not
+  acknowledged.  A reconnect ships again from the parent's count —
+  when the hello names the worker's own incarnation; any other
+  incarnation's count means nothing to this worker, which then ships
+  its whole outbox, and the parent, seeing a new incarnation in the
+  ``hello_ack``, restarts its count at 0.
 * **Partitioned ≠ dead.**  A worker that is reachable-but-slow keeps
   its TCP connection alive while its heartbeats go stale.  The
   parent-side handle exposes ``connection_alive`` so the supervisor's
@@ -75,10 +86,8 @@ design is built around them:
   still queued reaches the replacement.  An injected kill consumes
   the plan's ``kill_times`` budget across restarts (the parent
   decrements what each dead worker reports), so a relaunched worker
-  does not kill-loop.  Results already received stay received —
-  ``out`` messages are cumulative-cursor based, and the resume
-  handshake tells the worker which outputs the parent already holds,
-  so a reconnect never re-delivers nor drops a diagnosis.
+  does not kill-loop.  Results already received stay received, and
+  the outbox makes a reconnect neither re-deliver nor drop one.
 
 Worker deployment shapes (all speak the identical protocol):
 
@@ -93,7 +102,9 @@ Worker deployment shapes (all speak the identical protocol):
   exits once the process that launched it is gone.
 * standalone — ``python -m repro netshard-worker --listen HOST:PORT``;
   the parent ships the model inside ``hello`` at connect time.  It
-  outlives any parent by design.
+  outlives any parent by design, and must run the parent's code
+  version: each end refuses a handshake whose ``protocol`` is not its
+  own :data:`_PROTOCOL`.
 
 Every (re)launch and every remote ``hello`` ships the model the
 parent's :class:`~repro.serving.models.ModelManager` holds at that
@@ -179,6 +190,10 @@ _HELLO_TIMEOUT_S = 5.0
 _PORT_DEADLINE_S = 30.0
 #: What the forkserver imports once, before it forks any worker.
 _PRELOAD = ["repro.serving.netshard"]
+#: The message vocabulary's version, in every hello and hello_ack.
+#: Bump it whenever a frame changes shape: each end refuses a
+#: handshake from another version instead of misreading its frames.
+_PROTOCOL = 1
 
 
 def _default_start_method() -> str:
@@ -290,14 +305,6 @@ class SocketOpts:
 # ----------------------------------------------------------------------
 
 
-#: Already-shipped letters retained for a reconnecting parent's rewind.
-#: A rewind can only reach back as far as the letters in flight when
-#: the connection dropped — at most one flush's worth — so a small
-#: retention window keeps the log bounded on a long-lived worker
-#: without ever trimming a letter the parent could still ask for.
-_LETTER_RETAIN = 1024
-
-
 class _KillBudget:
     """Worker-side chaos hook honouring the plan's remaining kill budget."""
 
@@ -318,44 +325,50 @@ class _KillBudget:
         )
 
 
-class _LetterLog:
-    """Worker-side dead-letter shim with a non-destructive cursor.
+class _Outbox:
+    """One worker incarnation's results the parent has not acknowledged.
 
-    The parent performs the one real
-    :meth:`~repro.serving.dlq.DeadLetterQueue.put` per letter.  Letters
-    stay in the log after shipping so a reconnecting parent can rewind
-    the cursor to what it actually received and get the in-flight
-    letters again.  Cursors are *absolute* letter indices; ``base`` is the absolute index of
-    the first retained letter, so confirmed letters can be trimmed
-    (bounded memory on a noisy long-lived worker) without shifting
-    anyone's cursor.
+    Items are ``(kind, item)`` pairs in the order the shard produced
+    them: ``("diagnosis", SessionDiagnosis)``, ``("alarm", Alarm)``,
+    ``("provisional", ProvisionalDiagnosis)`` and ``("letter", (entry,
+    reason, detail))`` — the parent performs the one real
+    :meth:`~repro.serving.dlq.DeadLetterQueue.put` per letter.  Indices
+    are *absolute*: ``base`` is the index of the first retained item, so
+    trimming acknowledged items shifts no cursor.  The shard thread
+    appends (the outbox is its ``dead_letters`` and its three result
+    callbacks); only the connection thread reads and trims.
     """
 
     def __init__(self) -> None:
-        self._letters: List[tuple] = []
+        self._items: List[Tuple[str, object]] = []
         self.base = 0
-        self.trimmed = 0
 
     @property
     def end(self) -> int:
-        """Absolute index one past the newest letter."""
-        return self.base + len(self._letters)
+        """Absolute index one past the newest item."""
+        return self.base + len(self._items)
+
+    def collector(self, kind: str) -> Callable[[object], None]:
+        """A result callback that appends ``(kind, result)``."""
+        append = self._items.append
+        return lambda item: append((kind, item))
 
     def put(
         self, entry: WeblogEntry, reason: str, shard: int, detail: str = ""
     ) -> None:
-        self._letters.append((entry, reason, detail))
+        """The dead-letter surface :class:`ShardWorker` writes to."""
+        self._items.append(("letter", (entry, reason, detail)))
 
-    def slice(self, lo: int, hi: int) -> List[tuple]:
-        return self._letters[lo - self.base : hi - self.base]
+    def slice(self, lo: int, hi: int) -> List[Tuple[str, object]]:
+        return self._items[lo - self.base : hi - self.base]
 
-    def trim_to(self, cursor: int) -> None:
-        """Drop letters below absolute index ``cursor`` (clamped)."""
-        drop = min(max(cursor - self.base, 0), len(self._letters))
+    def trim_to(self, index: int) -> None:
+        """Drop the items below absolute ``index``, clamped into
+        ``[base, end]``."""
+        drop = min(max(index - self.base, 0), len(self._items))
         if drop:
-            del self._letters[:drop]
+            del self._items[:drop]
             self.base += drop
-            self.trimmed += drop
 
 
 class _WorkerState:
@@ -371,7 +384,7 @@ class _WorkerState:
         self.config: Optional[NetShardConfig] = None
         self.worker: Optional[ShardWorker] = None
         self.queue: Optional[BoundedQueue] = None
-        self.letters = _LetterLog()
+        self.outbox = _Outbox()
         self.kills: Optional[_KillBudget] = None
         self.shard_tel = None
         self.token: Optional[str] = None
@@ -382,11 +395,9 @@ class _WorkerState:
         self.draining = False
         self.partition_fired = False
         self.prev_registry_state: Optional[Dict] = None
-        # Output cursors: how much of each stream the parent holds.
-        self.sent_diagnoses = 0
-        self.sent_alarms = 0
-        self.sent_provisional = 0
-        self.sent_letters = 0
+        #: Absolute outbox index the current connection has shipped to.
+        self.sent = 0
+        #: ``entries_processed`` as last shipped (-1: ship the counters).
         self.sent_entries = -1
         if config is not None:
             self.configure(config)
@@ -411,12 +422,16 @@ class _WorkerState:
             else None
         )
         self.kills = _KillBudget(config.kill_at_entry, config.kill_times)
+        outbox = self.outbox
         self.worker = ShardWorker(
             config.index,
             ModelManager(config.framework),
             self.queue,
             config.spec,
-            dead_letters=self.letters,
+            dead_letters=outbox,
+            on_diagnosis=outbox.collector("diagnosis"),
+            on_alarm=outbox.collector("alarm"),
+            on_provisional=outbox.collector("provisional"),
             fault_hook=self.kills.hook if config.kill_times > 0 else None,
             telemetry=self.shard_tel,
         )
@@ -425,68 +440,38 @@ class _WorkerState:
     # -- output shipping ----------------------------------------------
 
     def rewind(self, hello: Dict) -> None:
-        """Reset the output cursors to what the parent says it holds."""
-        self.sent_diagnoses = int(hello.get("out_diagnoses", 0))
-        self.sent_alarms = int(hello.get("out_alarms", 0))
-        self.sent_provisional = int(hello.get("out_provisional", 0))
-        wanted = int(hello.get("out_letters", 0))
-        if wanted < self.letters.base:
-            # The parent rewound past the retention window — those
-            # letters were trimmed as confirmed-or-aged-out and cannot
-            # be re-delivered.  Loud, accounted, never silent.
-            _LOG.error(
-                "netshard_letters_unrecoverable",
-                wanted=wanted,
-                base=self.letters.base,
-                lost=self.letters.base - wanted,
-            )
-            wanted = self.letters.base
-        self.sent_letters = wanted
-        # Everything below the parent's cursor is confirmed held: free it.
-        self.letters.trim_to(wanted)
+        """Ship the outbox again from what the parent holds.
+
+        The hello's ``out_acked`` counts this worker's items only when
+        the hello names this incarnation; it comes from outside the
+        process, so the trim clamps it into ``[base, end]``.  A hello
+        naming another incarnation, or none, comes from a parent that
+        holds none of this worker's items: the outbox ships from its
+        base.
+        """
+        if hello.get("incarnation") == self.incarnation:
+            self.outbox.trim_to(int(hello.get("out_acked", 0)))
+        self.sent = self.outbox.base
         self.sent_entries = -1  # force a fresh counters frame
 
     def flush_outputs(self, stream: FrameStream) -> None:
         worker = self.worker
-        diagnoses = worker.diagnoses
-        alarms = worker.alarms
-        provisional = worker.provisional
-        # Snapshot each length exactly once: the shard thread appends
-        # to these lists concurrently, and a cursor taken from a
-        # *re-read* len() after the send would mark items as sent that
-        # were appended after the slice — silently lost output.
-        n_diagnoses = len(diagnoses)
-        n_alarms = len(alarms)
-        n_provisional = len(provisional)
-        n_letters = self.letters.end
+        # Take the end exactly once: the shard thread appends
+        # concurrently, and a cursor taken from a *re-read* end after
+        # the send would mark items as sent that were appended after
+        # the slice — silently lost output.
+        end = self.outbox.end
         n_entries = worker.entries_processed
-        if (
-            n_diagnoses == self.sent_diagnoses
-            and n_alarms == self.sent_alarms
-            and n_provisional == self.sent_provisional
-            and n_letters == self.sent_letters
-            and n_entries == self.sent_entries
-        ):
+        if end == self.sent and n_entries == self.sent_entries:
             return
         out = {
-            "diagnoses": diagnoses[self.sent_diagnoses:n_diagnoses],
-            "alarms": alarms[self.sent_alarms:n_alarms],
-            "provisional": provisional[self.sent_provisional:n_provisional],
-            "letters": self.letters.slice(self.sent_letters, n_letters),
+            "items": self.outbox.slice(self.sent, end),
             "entries_processed": n_entries,
             "quarantined": worker.quarantined,
         }
         stream.send("out", out)
-        # Cursors advance only after the send returned: a send that
-        # raised leaves them unmoved, so the reconnect resends.
-        self.sent_diagnoses = n_diagnoses
-        self.sent_alarms = n_alarms
-        self.sent_provisional = n_provisional
-        self.sent_letters = n_letters
+        self.sent = end
         self.sent_entries = n_entries
-        # Keep the log bounded on a long-lived connection: retain a
-        # rewind window of recently shipped letters, trim the rest.
-        self.letters.trim_to(max(self.letters.base, n_letters - _LETTER_RETAIN))
 
     def ship_registry(self, stream: FrameStream) -> None:
         if not self.config.ship_registry:
@@ -517,6 +502,11 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
     if hello is None or hello[0] != "hello":
         raise FrameError(f"expected hello, got {hello!r}")
     body = hello[1] or {}
+    if body.get("protocol") != _PROTOCOL:
+        raise FrameError(
+            f"hello speaks protocol {body.get('protocol')!r}, this worker "
+            f"{_PROTOCOL}: parent and worker must run one code version"
+        )
     token = body.get("token")
     if st.token is None:
         # First hello pins the session to this parent: a reconnect
@@ -530,14 +520,13 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
         )
     if st.worker is None:
         st.configure(body.get("config") or None)
-    if body.get("resume"):
-        st.rewind(body)
+    st.rewind(body)
     stream.send(
         "hello_ack",
         {
+            "protocol": _PROTOCOL,
             "recv_seq": st.recv_seq,
             "incarnation": st.incarnation,
-            "entries_received": st.received,
         },
     )
     config = st.config
@@ -570,6 +559,9 @@ def _serve_connection(stream: FrameStream, st: _WorkerState) -> Optional[str]:
         if msg is not None:
             kind, payload = msg
             if kind == "entries":
+                # The parent has applied every item below its count;
+                # it cannot have applied one this connection never sent.
+                st.outbox.trim_to(min(int(payload.get("out_acked", 0)), st.sent))
                 base = payload["base_seq"]
                 for offset, entry in enumerate(payload["entries"]):
                     seq = base + offset
@@ -873,9 +865,6 @@ class SocketShardWorker:
         self.mode = mode
         self.address = address
         self.opts = opts if opts is not None else SocketOpts()
-        self._on_diagnosis = on_diagnosis
-        self._on_alarm = on_alarm
-        self._on_provisional = on_provisional
         self._fold = fold
         self._faults = faults
         self._slow_link = slow_link
@@ -890,6 +879,12 @@ class SocketShardWorker:
         self.diagnoses: List[SessionDiagnosis] = []
         self.alarms: List[Alarm] = []
         self.provisional: List[ProvisionalDiagnosis] = []
+        #: Where ``_apply_out`` puts each result kind, and its callback.
+        self._sinks = {
+            "diagnosis": (self.diagnoses, on_diagnosis),
+            "alarm": (self.alarms, on_alarm),
+            "provisional": (self.provisional, on_provisional),
+        }
         self._early_report: Optional[ConvergenceReport] = None
         self.entries_processed = 0
         self.quarantined = 0
@@ -941,7 +936,8 @@ class SocketShardWorker:
         #: ``len(_shipped_to)``, published by the I/O thread for readers
         #: on other threads (the set itself is its own).
         self.seen_subscribers = 0
-        self._received = {"diagnoses": 0, "alarms": 0, "provisional": 0, "letters": 0}
+        #: Outbox items of ``_worker_incarnation`` applied here, in order.
+        self._out_acked = 0
         self._draining = False
         self._death_report: Optional[Dict] = None
 
@@ -1078,7 +1074,7 @@ class SocketShardWorker:
         with trace("serving.shard_launch") as span:
             span.add("launches", 1)
             self._launch_worker()
-            self._establish(resume=False)
+            self._worker_incarnation = self._establish().get("incarnation")
 
     def _launch_worker(self) -> None:
         if self.mode == "remote":
@@ -1141,7 +1137,7 @@ class SocketShardWorker:
             raise ShardUnreachable(f"shard {self.index} has no bound worker")
         return ("127.0.0.1", self._worker_port)
 
-    def _establish(self, resume: bool) -> Dict:
+    def _establish(self) -> Dict:
         """Connect + hello/hello_ack handshake under the hard deadline."""
         address = self._current_address()
         opts = self.opts
@@ -1178,13 +1174,12 @@ class SocketShardWorker:
             send_timeout_s=opts.send_timeout_s,
         )
         hello: Dict = {
+            "protocol": _PROTOCOL,
             "token": self._token,
             "shard": self.index,
-            "resume": resume,
-            "out_diagnoses": self._received["diagnoses"],
-            "out_alarms": self._received["alarms"],
-            "out_provisional": self._received["provisional"],
-            "out_letters": self._received["letters"],
+            # The count is this incarnation's; another worker ignores it.
+            "incarnation": self._worker_incarnation,
+            "out_acked": self._out_acked,
         }
         if self.mode == "remote":
             hello["config"] = self._launch_config()
@@ -1197,8 +1192,13 @@ class SocketShardWorker:
         if ack is None or ack[0] != "hello_ack":
             stream.close()
             raise ShardUnreachable(f"expected hello_ack, got {ack!r}")
-        if not resume:
-            self._worker_incarnation = ack[1].get("incarnation")
+        if ack[1].get("protocol") != _PROTOCOL:
+            stream.close()
+            raise ShardUnreachable(
+                f"worker speaks protocol {ack[1].get('protocol')!r}, this "
+                f"parent {_PROTOCOL}: parent and worker must run one code "
+                "version"
+            )
         self._stream = stream
         self._connection_alive = True
         self.heartbeat_s = time.monotonic()
@@ -1276,7 +1276,10 @@ class SocketShardWorker:
                 delay = self._slow_link(base_seq)
                 if delay > 0:
                     time.sleep(delay)
-            stream.send("entries", {"base_seq": base_seq, "entries": batch})
+            stream.send(
+                "entries",
+                {"base_seq": base_seq, "entries": batch, "out_acked": self._out_acked},
+            )
         if closed:
             self._draining = True
             stream.send("drain", {})
@@ -1370,16 +1373,14 @@ class SocketShardWorker:
         ``FrameError`` / ``OSError`` when the fresh connection fails
         during the resend.
         """
-        ack = self._establish(resume=True)
+        ack = self._establish()
         recv_seq = int(ack.get("recv_seq", 0))
         incarnation = ack.get("incarnation")
-        if recv_seq < self._acked_seq or (
-            self._worker_incarnation is not None
-            and incarnation != self._worker_incarnation
-        ):
+        replaced = incarnation != self._worker_incarnation
+        if replaced or recv_seq < self._acked_seq:
             # The worker lost state underneath us (fresh process at
-            # the same address — regressed watermark or changed
-            # incarnation): results so far are kept, but every
+            # the same address — changed incarnation or regressed
+            # watermark): results so far are kept, but every
             # subscriber shipped there may now diverge.
             if self._faults is not None and self._shipped_to:
                 self._faults.mark_affected(self._shipped_to)
@@ -1389,11 +1390,18 @@ class SocketShardWorker:
                 acked=self._acked_seq,
                 worker_recv=recv_seq,
             )
-        self._worker_incarnation = incarnation
+        if replaced:
+            # The new worker ignored our count (it named another
+            # incarnation) and ships its outbox from index 0.
+            self._worker_incarnation = incarnation
+            self._out_acked = 0
         self._acked_seq = recv_seq
         self._prune_unacked(recv_seq)
         for seq, entry in self._unacked:
-            self._stream.send("entries", {"base_seq": seq, "entries": [entry]})
+            self._stream.send(
+                "entries",
+                {"base_seq": seq, "entries": [entry], "out_acked": self._out_acked},
+            )
         if self._draining:
             self._stream.send("drain", {})
         if self._unacked:
@@ -1404,33 +1412,24 @@ class SocketShardWorker:
     # Message application (I/O thread only)
     # ------------------------------------------------------------------
 
-    def _fire(self, callback, payload, name: str) -> None:
-        if callback is None:
-            return
-        try:
-            callback(payload)
-        except Exception:
-            self.callback_errors += 1
-            _LOG.exception(
-                "netshard_callback_failed", shard=self.index, callback=name
-            )
-
     def _apply_out(self, out: Dict) -> None:
-        for diagnosis in out["diagnoses"]:
-            self.diagnoses.append(diagnosis)
-            self._fire(self._on_diagnosis, diagnosis, "on_diagnosis")
-        for alarm in out["alarms"]:
-            self.alarms.append(alarm)
-            self._fire(self._on_alarm, alarm, "on_alarm")
-        for provisional in out.get("provisional", ()):
-            self.provisional.append(provisional)
-            self._fire(self._on_provisional, provisional, "on_provisional")
-        for entry, reason, detail in out["letters"]:
-            self.dead_letters.put(entry, reason, self.index, detail)
-        self._received["diagnoses"] += len(out["diagnoses"])
-        self._received["alarms"] += len(out["alarms"])
-        self._received["provisional"] += len(out.get("provisional", ()))
-        self._received["letters"] += len(out["letters"])
+        for kind, item in out["items"]:
+            if kind == "letter":
+                entry, reason, detail = item
+                self.dead_letters.put(entry, reason, self.index, detail)
+                continue
+            results, callback = self._sinks[kind]
+            results.append(item)
+            if callback is None:
+                continue
+            try:
+                callback(item)
+            except Exception:
+                self.callback_errors += 1
+                _LOG.exception(
+                    "netshard_callback_failed", shard=self.index, callback=kind
+                )
+        self._out_acked += len(out["items"])
         self.entries_processed = self._entries_base + out["entries_processed"]
         self.quarantined = self._quarantined_base + out["quarantined"]
 

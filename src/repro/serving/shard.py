@@ -457,8 +457,9 @@ class ShardWorker:
         self._entries_counter.inc()
         # Telemetry is inlined here rather than routed through
         # ShardTelemetry.note(): this block runs per dequeued entry and
-        # a method call per stage costs more than the <5% overhead gate
-        # allows on one core.  The buf_* lists alias the shard's stage
+        # a method call per stage is measurable on one core (full
+        # telemetry costs about +32% on the serving benchmark's replay,
+        # against a 5% gate).  The buf_* lists alias the shard's stage
         # buffers (flush clears in place, so the references stay valid).
         tel = self.telemetry
         ctx = entry.__dict__.get("_trace_ctx") if tel is not None else None

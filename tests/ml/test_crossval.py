@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.ml.crossval import (
-    clamped_cross_validate,
     cross_validate,
     stratified_kfold,
     train_test_split,
@@ -142,11 +141,13 @@ class TestClampedCrossValidate:
         return RandomForestClassifier(n_estimators=5, random_state=0)
 
     def test_equals_cross_validate_with_clamped_folds(self):
+        """The fold count is clamped into [2, smallest class]; a count
+        already inside that range runs unchanged."""
         rng = np.random.default_rng(3)
         X = rng.normal(size=(90, 3))
         y = np.array([0] * 60 + [1] * 26 + [2] * 4)
         for asked, used in ((10, 4), (3, 3), (1, 2)):
-            clamped = clamped_cross_validate(
+            clamped = cross_validate(
                 self._factory, X, y, n_splits=asked, random_state=0
             )
             direct = cross_validate(
@@ -154,14 +155,25 @@ class TestClampedCrossValidate:
             )
             assert clamped.classes == direct.classes
             assert np.array_equal(clamped.matrix, direct.matrix)
+        # The clamped count deals exactly stratified_kfold's folds.
+        balance_calls = []
+
+        def balance(Xb, yb):
+            balance_calls.append(len(yb))
+            return Xb, yb
+
+        cross_validate(
+            self._factory, X, y, n_splits=10, random_state=0, balance=balance
+        )
+        assert balance_calls == [
+            len(train) for train, _ in stratified_kfold(y, 4, random_state=0)
+        ]
 
     def test_singleton_class_yields_report(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(41, 3))
         y = np.array(["a"] * 25 + ["b"] * 15 + ["c"])
-        with pytest.raises(ValueError):
-            cross_validate(self._factory, X, y, n_splits=2, random_state=0)
-        report = clamped_cross_validate(
+        report = cross_validate(
             self._factory, X, y, n_splits=10, random_state=0,
             labels=["a", "b", "c"],
         )

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -80,106 +78,3 @@ class TestWriteSnapshot:
         (sample,) = loaded["metrics"][0]["samples"]
         assert sample["min"] == 0.0
         assert sample["max"] == 0.0
-
-
-class TestMergeSnapshots:
-    def _two_registries(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c_total", "C.").inc(2)
-        b.counter("c_total", "C.").inc(3)
-        a.gauge("g", "G.").set(1.0)
-        b.gauge("g", "G.").set(2.0)
-        ha = a.histogram("h_seconds", "H.", buckets=[1.0, 2.0])
-        hb = b.histogram("h_seconds", "H.", buckets=[1.0, 2.0])
-        ha.observe(0.5)
-        hb.observe(1.5)
-        hb.observe(5.0)
-        return a, b
-
-    def test_counters_and_gauges_sum(self):
-        from repro.obs import merge_snapshots
-
-        a, b = self._two_registries()
-        merged = merge_snapshots(
-            registry_snapshot(a, Tracer()), registry_snapshot(b, Tracer())
-        )
-        by_name = {m["name"]: m for m in merged["metrics"]}
-        assert by_name["c_total"]["samples"][0]["value"] == 5.0
-        assert by_name["g"]["samples"][0]["value"] == 3.0
-
-    def test_histograms_fold_and_requantile(self):
-        from repro.obs import merge_snapshots
-
-        a, b = self._two_registries()
-        merged = merge_snapshots(
-            registry_snapshot(a, Tracer()), registry_snapshot(b, Tracer())
-        )
-        by_name = {m["name"]: m for m in merged["metrics"]}
-        (sample,) = by_name["h_seconds"]["samples"]
-        assert sample["count"] == 3
-        assert sample["sum"] == pytest.approx(7.0)
-        assert sample["min"] == 0.5
-        assert sample["max"] == 5.0
-        assert sample["buckets"][-1]["count"] == 3
-        # Quantiles are recomputed from the merged buckets, not copied.
-        assert 0.5 <= sample["quantiles"]["p50"] <= 2.0
-        assert sample["quantiles"]["p99"] <= 5.0
-
-    def test_single_snapshot_round_trips(self):
-        from repro.obs import merge_snapshots
-
-        a, _ = self._two_registries()
-        snapshot = registry_snapshot(a, Tracer())
-        merged = merge_snapshots(snapshot)
-        assert {m["name"] for m in merged["metrics"]} == {
-            m["name"] for m in snapshot["metrics"]
-        }
-
-    def test_merged_output_is_json_safe(self):
-        from repro.obs import merge_snapshots
-
-        a, b = self._two_registries()
-        merged = merge_snapshots(
-            registry_snapshot(a, Tracer()), registry_snapshot(b, Tracer())
-        )
-        json.dumps(merged)
-
-    def test_merge_requires_a_snapshot(self):
-        from repro.obs import merge_snapshots
-
-        with pytest.raises(ValueError):
-            merge_snapshots()
-
-    def test_merge_rejects_foreign_schema(self):
-        from repro.obs import merge_snapshots
-
-        with pytest.raises(ValueError):
-            merge_snapshots({"schema": "something/else", "metrics": []})
-
-    def test_merge_rejects_bucket_mismatch(self):
-        from repro.obs import merge_snapshots
-
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h", "H.", buckets=[1.0]).observe(0.5)
-        b.histogram("h", "H.", buckets=[1.0, 2.0]).observe(0.5)
-        with pytest.raises(ValueError):
-            merge_snapshots(
-                registry_snapshot(a, Tracer()),
-                registry_snapshot(b, Tracer()),
-            )
-
-    def test_spans_concatenate(self):
-        from repro.obs import merge_snapshots
-
-        t1, t2 = Tracer(registry=MetricsRegistry()), Tracer(
-            registry=MetricsRegistry()
-        )
-        with t1.span("a"):
-            pass
-        with t2.span("b"):
-            pass
-        merged = merge_snapshots(
-            registry_snapshot(MetricsRegistry(), t1),
-            registry_snapshot(MetricsRegistry(), t2),
-        )
-        assert [s["name"] for s in merged["spans"]] == ["a", "b"]

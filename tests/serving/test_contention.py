@@ -5,11 +5,12 @@ when the interpreter switches threads far more often than it does by
 default.  Each test here sets the switch interval of this test process
 to 10 µs (and restores it afterwards), then runs one fault scenario: a
 socket worker kill and restart, a thread shard killed while a batch it
-pulled from its queue is pending, a connection dropped mid-stream, and
-a partition.  Each runs three times.  Every run asserts the invariant
-the chaos suites use: per subscriber, the service's diagnoses equal
-the serial monitor's, or the fault injector marked that subscriber
-affected.
+pulled from its queue is pending, a connection dropped mid-stream (with
+diagnoses only, and with dead letters and provisional diagnoses in the
+worker's outbox as well), and a partition.  Each runs three times.
+Every run asserts the invariant the chaos suites use: per subscriber,
+the service's diagnoses equal the serial monitor's, or the fault
+injector marked that subscriber affected.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from collections import defaultdict
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
+from repro.online import EarlyPredictor
 from repro.realtime.monitor import RealTimeMonitor
 from repro.realtime.tracker import OnlineSessionTracker
 from repro.serving import QoEService
 from repro.serving.replay import synthetic_trace
 from repro.serving.shard import shard_index
 
-from tests.serving.conftest import diagnosis_multiset
+from tests.serving.conftest import diagnosis_multiset, provisional_multiset
 
 RUNS = range(3)
 
@@ -54,10 +56,10 @@ def serial(serving_framework, trace):
     return monitor.diagnoses
 
 
-def _by_subscriber(diagnoses):
+def _by_subscriber(results):
     grouped = defaultdict(list)
-    for diagnosis in diagnoses:
-        grouped[diagnosis.session_id.rsplit("/online-", 1)[0]].append(diagnosis)
+    for result in results:
+        grouped[result.session_id.rsplit("/online-", 1)[0]].append(result)
     return grouped
 
 
@@ -176,3 +178,62 @@ def test_partition(serving_framework, trace, serial, run):
     _assert_identical_or_affected(
         service, serial, trace, faults.affected_subscribers
     )
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_dropped_connection_keeps_every_output_kind(
+    serving_framework, trace, run
+):
+    """Connections drop while corrupt records and early prediction keep
+    dead letters and provisional diagnoses in the workers' outboxes
+    beside the diagnoses: each corrupt record is dead-lettered exactly
+    once, and untouched subscribers' diagnoses and provisionals equal
+    the serial monitor's."""
+    faults = FaultInjector(FaultPlan(seed=run, corrupt_fraction=0.01))
+    faulted = faults.plan_trace(trace)
+    service = QoEService(
+        serving_framework,
+        n_shards=2,
+        shard_backend="socket",
+        placement="inproc:2",
+        faults=faults,
+        early_after_chunks=4,
+    )
+    drops = {len(faulted) * k // 4: k % 2 for k in (1, 2, 3)}
+    with service:
+        for i, entry in enumerate(faulted):
+            service.submit(entry)
+            if i in drops:
+                service.router.shards[drops[i]].drop_connection_for_test()
+    assert all(shard.reconnects >= 1 for shard in service.router.shards)
+    assert all(shard.restarts == 0 for shard in service.router.shards)
+
+    corrupted = [faulted[i.index] for i in faults.injections if i.kind == "corrupt"]
+    assert corrupted
+    lettered = service.dead_letters.items()
+    assert {letter.reason for letter in lettered} == {"malformed"}
+    assert sorted(repr(letter.entry) for letter in lettered) == sorted(
+        repr(entry) for entry in corrupted
+    )
+
+    serial = RealTimeMonitor(
+        serving_framework,
+        tracker=OnlineSessionTracker(),
+        early=EarlyPredictor(serving_framework, after_chunks=4),
+    )
+    serial.feed_many(trace)
+    serial.drain()
+    untouched = {entry.subscriber_id for entry in trace} - set(
+        faults.affected_subscribers
+    )
+    assert untouched, "the corruption touched every subscriber"
+    for mine, want, canonical in (
+        (service.diagnoses, serial.diagnoses, diagnosis_multiset),
+        (service.provisional, serial.provisional, provisional_multiset),
+    ):
+        got, expected = _by_subscriber(mine), _by_subscriber(want)
+        assert any(expected[subscriber] for subscriber in untouched)
+        for subscriber in sorted(untouched):
+            assert canonical(got[subscriber]) == canonical(
+                expected[subscriber]
+            ), f"{subscriber} diverged from serial without being marked affected"

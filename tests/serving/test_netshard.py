@@ -26,7 +26,12 @@ from repro.realtime.tracker import OnlineSessionTracker
 from repro.serving import QoEService, run_worker
 from repro.serving.dlq import DeadLetterQueue
 from repro.serving.framing import FrameClosed
-from repro.serving.netshard import NetShardConfig, SocketOpts, SocketShardWorker
+from repro.serving.netshard import (
+    _PROTOCOL,
+    NetShardConfig,
+    SocketOpts,
+    SocketShardWorker,
+)
 from repro.serving.queue import BoundedQueue, QueueEmpty
 from repro.serving.replay import synthetic_trace
 from repro.serving.shard import shard_index
@@ -513,9 +518,9 @@ class TestStandaloneWorker:
 
         config = NetShardConfig(index=0, framework=serving_framework)
         first_hello = {
+            "protocol": _PROTOCOL,
             "token": "parent",
             "shard": 0,
-            "resume": False,
             "config": config,
         }
         bound = len(encode_frame(("hello", first_hello))) + 4096
@@ -550,7 +555,7 @@ class TestStandaloneWorker:
             assert ack is not None and ack[0] == "hello_ack"
             return stream
 
-        resume = {"token": "parent", "shard": 0, "resume": True}
+        resume = {"protocol": _PROTOCOL, "token": "parent", "shard": 0}
         connect(first_hello).close()
         second = connect(resume)
         second.send(
@@ -592,8 +597,9 @@ class TestStandaloneWorker:
 
 
 class TestAuthentication:
-    """The HMAC handshake guards the unpickler on both ends, and the
-    hello token pins a worker session to one parent across reconnects."""
+    """The HMAC handshake guards the unpickler on both ends, the hello
+    token pins a worker session to one parent across reconnects, and
+    each end refuses a handshake of another protocol version."""
 
     @staticmethod
     def _standalone_worker(auth_key, config=None):
@@ -726,7 +732,9 @@ class TestAuthentication:
             sock = socket_mod.create_connection(("127.0.0.1", port), timeout=5.0)
             answer_challenge(sock, b"")
             stream = FrameStream(sock)
-            stream.send("hello", {"token": token, "shard": 0, "resume": False})
+            stream.send(
+                "hello", {"protocol": _PROTOCOL, "token": token, "shard": 0}
+            )
             return stream
 
         first = hello("parent-a")
@@ -750,54 +758,288 @@ class TestAuthentication:
         assert ack is not None and ack[0] == "hello_ack"
         again.close()
 
+    def test_worker_refuses_a_hello_of_another_protocol(
+        self, serving_framework
+    ):
+        """Each end refuses a handshake from another code version at the
+        hello, before it can misread that version's frames."""
+        from repro.serving.framing import FrameStream, answer_challenge
+        import socket as socket_mod
 
-class TestLetterLogBounds:
-    def _entry(self):
-        return object()  # the log never inspects the entry
+        config = NetShardConfig(index=0, framework=serving_framework)
+        worker, port = self._standalone_worker(b"", config=config)
 
+        def hello(protocol):
+            sock = socket_mod.create_connection(("127.0.0.1", port), timeout=5.0)
+            answer_challenge(sock, b"")
+            stream = FrameStream(sock)
+            stream.send(
+                "hello", {"protocol": protocol, "token": "parent", "shard": 0}
+            )
+            return stream
+
+        stale = hello(_PROTOCOL - 1)
+        with pytest.raises(FrameClosed):
+            while True:
+                if stale.recv(timeout=5.0) is None:
+                    raise AssertionError("worker neither acked nor closed")
+        stale.close()
+        # The refusal pinned nothing: this version's parent gets in.
+        current = hello(_PROTOCOL)
+        ack = current.recv(timeout=5.0)
+        assert ack[0] == "hello_ack" and ack[1]["protocol"] == _PROTOCOL
+        current.send("drain", {})
+        while current.recv(timeout=5.0)[0] != "drained":
+            pass
+        current.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+
+    def test_parent_refuses_a_hello_ack_of_another_protocol(
+        self, serving_framework
+    ):
+        import socket as socket_mod
+
+        from repro.serving.framing import FrameStream, deliver_challenge
+        from repro.serving.netshard import ShardUnreachable
+
+        listener = socket_mod.create_server(("127.0.0.1", 0))
+
+        def stale_worker():
+            conn, _ = listener.accept()
+            deliver_challenge(conn, b"")
+            stream = FrameStream(conn)
+            stream.recv(timeout=5.0)
+            stream.send("hello_ack", {"recv_seq": 0, "incarnation": 1})
+            with pytest.raises(FrameClosed):  # the parent hangs up
+                stream.recv(timeout=5.0)
+            stream.close()
+
+        server = threading.Thread(target=stale_worker, daemon=True)
+        server.start()
+        handle = SocketShardWorker(
+            NetShardConfig(index=0, framework=serving_framework),
+            BoundedQueue(capacity=8),
+            DeadLetterQueue(),
+            mode="remote",
+            address=("127.0.0.1", listener.getsockname()[1]),
+        )
+        try:
+            with pytest.raises(ShardUnreachable, match="protocol None"):
+                handle._launch_and_connect()
+        finally:
+            server.join(timeout=10.0)
+            listener.close()
+        assert not server.is_alive()
+
+
+class _SentFrames:
+    """Stands in for a FrameStream: records what is sent."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send(self, kind, payload):
+        self.frames.append((kind, payload))
+
+    def items(self):
+        return [
+            item
+            for kind, payload in self.frames
+            if kind == "out"
+            for item in payload["items"]
+        ]
+
+
+class _Counters:
+    """The two counters ``flush_outputs`` reads off a shard worker."""
+
+    entries_processed = 0
+    quarantined = 0
+
+
+def _state_with_outbox(n_items):
+    """A worker state whose outbox holds ``n_items`` of mixed kinds."""
+    from repro.serving.netshard import _WorkerState
+
+    st = _WorkerState(None)
+    st.worker = _Counters()
+    diagnosis = st.outbox.collector("diagnosis")
+    alarm = st.outbox.collector("alarm")
+    for i in range(n_items):
+        if i % 3 == 0:
+            st.outbox.put(f"entry{i}", "malformed", shard=0)
+        elif i % 3 == 1:
+            diagnosis(f"diagnosis{i}")
+        else:
+            alarm(f"alarm{i}")
+    return st
+
+
+class TestOutbox:
     def test_trim_keeps_absolute_cursors_valid(self):
-        from repro.serving.netshard import _LetterLog
+        from repro.serving.netshard import _Outbox
 
-        log = _LetterLog()
+        outbox = _Outbox()
+        collect = outbox.collector("diagnosis")
         for i in range(10):
-            log.put(self._entry(), f"r{i}", shard=0)
-        assert log.end == 10
-        tail = log.slice(7, 10)
-        log.trim_to(7)
-        assert log.base == 7
-        assert log.trimmed == 7
-        assert log.slice(7, 10) == tail
+            collect(i)
+        assert outbox.end == 10
+        tail = outbox.slice(7, 10)
+        outbox.trim_to(7)
+        assert outbox.base == 7
+        assert outbox.slice(7, 10) == tail == [("diagnosis", i) for i in (7, 8, 9)]
         # Trimming below base is a no-op, never an index error.
-        log.trim_to(3)
-        assert log.base == 7
+        outbox.trim_to(3)
+        assert outbox.base == 7
 
-    def test_flush_trims_to_retention_window(self, serving_framework):
-        from repro.serving import netshard
-        from repro.serving.netshard import _LetterLog, _LETTER_RETAIN
+    def test_trims_only_to_parent_acked_indices(self):
+        """Shipping trims nothing; only the parent's count does, and
+        never past what this connection has shipped."""
+        st = _state_with_outbox(9)
+        stream = _SentFrames()
+        st.rewind({})
+        st.flush_outputs(stream)
+        assert len(stream.items()) == 9
+        assert st.outbox.base == 0  # shipped is not acknowledged
+        st.outbox.put("late", "malformed", shard=0)
+        for acked, base in ((4, 4), (2, 4), (50, 9)):
+            # What the worker does with an entries frame's out_acked.
+            st.outbox.trim_to(min(acked, st.sent))
+            assert st.outbox.base == base
+        assert st.outbox.slice(9, st.outbox.end) == [
+            ("letter", ("late", "malformed", ""))
+        ]
 
-        log = _LetterLog()
-        total = _LETTER_RETAIN + 500
-        for i in range(total):
-            log.put(self._entry(), "validation", shard=0)
-        # Simulate what flush_outputs does after a successful send.
-        log.trim_to(max(log.base, total - _LETTER_RETAIN))
-        assert log.end == total
-        assert log.end - log.base == _LETTER_RETAIN
-        assert log.trimmed == 500
-        assert netshard._LETTER_RETAIN >= 256  # rewind window stays useful
+    def test_same_incarnation_rewind_reships_the_unacked_suffix(self):
+        n_items = 12
+        reference = _state_with_outbox(n_items).outbox.slice(0, n_items)
+        for acked in range(n_items + 1):
+            st = _state_with_outbox(n_items)
+            st.flush_outputs(_SentFrames())  # shipped, then the link drops
+            stream = _SentFrames()
+            st.rewind({"incarnation": st.incarnation, "out_acked": acked})
+            st.flush_outputs(stream)
+            assert stream.items() == reference[acked:]
+            assert st.outbox.base == acked
 
-    def test_rewind_clamps_to_retained_base(self):
-        from repro.serving.netshard import _LetterLog, _WorkerState
+    def test_out_of_range_cursor_is_clamped(self):
+        st = _state_with_outbox(10)
+        st.outbox.trim_to(6)
+        for acked, shipped in ((2, 4), (-5, 4), (99, 0)):
+            stream = _SentFrames()
+            st.rewind({"incarnation": st.incarnation, "out_acked": acked})
+            st.flush_outputs(stream)
+            assert len(stream.items()) == shipped
+            assert st.sent == 10
+        assert st.outbox.base == 10
 
-        st = _WorkerState.__new__(_WorkerState)
-        st.letters = _LetterLog()
-        for i in range(10):
-            st.letters.put(self._entry(), "validation", shard=0)
-        st.letters.trim_to(6)
-        st.sent_diagnoses = st.sent_alarms = st.sent_provisional = 0
-        st.rewind({"out_letters": 2})  # parent asks below the window
-        assert st.sent_letters == 6  # clamped, not an index error
-        assert st.sent_entries == -1
+    def test_hello_from_another_incarnation_ships_every_output(
+        self, serving_framework
+    ):
+        """A fresh worker asked to resume at another incarnation's
+        count (a standalone worker restarted at the same address) ships
+        everything it produced, not everything past that count."""
+        from repro.serving.netshard import _WorkerState
+
+        trace = synthetic_trace(3, seed=5, subscribers=2)
+        corrupted = FaultInjector(FaultPlan(seed=1, corrupt_fraction=1.0))
+        letters = corrupted.plan_trace(trace[:2])
+        st = _WorkerState(NetShardConfig(index=0, framework=serving_framework))
+        st.queue.put_many(letters + trace)
+        st.queue.close()
+        st.worker.join(timeout=30.0)
+        assert st.worker.state == "stopped"
+        produced = len(st.worker.diagnoses)
+        assert produced > 0
+        stream = _SentFrames()
+        st.rewind(
+            {"incarnation": st.incarnation + 1, "out_acked": produced + 2}
+        )
+        st.flush_outputs(stream)
+        shipped = stream.items()
+        assert [d for kind, d in shipped if kind == "diagnosis"] == (
+            st.worker.diagnoses
+        )
+        assert [item[0] for kind, item in shipped if kind == "letter"] == (
+            letters
+        )
+        assert [a for kind, a in shipped if kind == "alarm"] == st.worker.alarms
+        assert len(shipped) == st.outbox.end
+
+
+class TestNewIncarnationRestartsTheCount:
+    def test_hello_ack_from_a_new_worker_resets_out_acked(
+        self, serving_framework
+    ):
+        """The parent's count belongs to the incarnation it names: a
+        reconnect answered by another incarnation starts it at 0, so
+        the new worker's first items are counted, not skipped."""
+        import socket as socket_mod
+
+        from repro.serving.framing import FrameStream, deliver_challenge
+
+        listener = socket_mod.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        hellos = []
+        diagnosis = object()
+        read = threading.Event()
+
+        def fake_worker():
+            for incarnation, items in ((7, 3), (8, 1)):
+                conn, _ = listener.accept()
+                deliver_challenge(conn, b"")
+                stream = FrameStream(conn)
+                hellos.append(stream.recv(timeout=5.0)[1])
+                stream.send(
+                    "hello_ack",
+                    {
+                        "protocol": _PROTOCOL,
+                        "recv_seq": 0,
+                        "incarnation": incarnation,
+                    },
+                )
+                stream.send(
+                    "out",
+                    {
+                        "items": [("diagnosis", diagnosis)] * items,
+                        "entries_processed": 0,
+                        "quarantined": 0,
+                    },
+                )
+                read.wait(timeout=5.0)  # held open until the parent read
+                read.clear()
+                stream.close()
+
+        server = threading.Thread(target=fake_worker, daemon=True)
+        server.start()
+        handle = SocketShardWorker(
+            NetShardConfig(index=0, framework=serving_framework),
+            BoundedQueue(capacity=8),
+            DeadLetterQueue(),
+            mode="remote",
+            address=("127.0.0.1", port),
+        )
+        try:
+            handle._launch_and_connect()
+            handle._read(handle._stream, 2.0)
+            read.set()
+            assert handle._worker_incarnation == 7
+            assert handle._out_acked == 3
+            handle._close_stream()  # the link drops; the reconnect:
+            handle._resume()
+            handle._read(handle._stream, 2.0)
+            read.set()
+            assert hellos[1]["incarnation"] == 7
+            assert hellos[1]["out_acked"] == 3
+            assert handle._worker_incarnation == 8
+            assert handle._out_acked == 1
+            assert len(handle.diagnoses) == 4
+        finally:
+            handle._close_stream()
+            server.join(timeout=10.0)
+            listener.close()
+        assert not server.is_alive()
 
 
 class TestRestartResetsWatermarks:

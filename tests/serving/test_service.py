@@ -178,19 +178,21 @@ class TestBackpressureAccounting:
             max_batch=64,
             max_delay_s=5.0,
         )
-        # keep the worker from draining the queue so sheds are forced
+        # Keep the worker from draining the queue so sheds are forced:
+        # the shard calls its fault hook for every entry it steps.
         hold = threading.Event()
-        original_observe = service._shards[0].monitor.tracker.observe
+        held = []
 
-        def slow_observe(entry):
+        def hold_worker(shard_index, entry, picked_up):
+            held.append(picked_up)
             hold.wait(timeout=5.0)
-            return original_observe(entry)
 
-        service._shards[0].monitor.tracker.observe = slow_observe
+        service._shards[0].fault_hook = hold_worker
         service.start()
         accepted = service.submit_many(serving_trace[:100])
         hold.set()
         service.drain()
+        assert held, "the hold was never entered"
         assert service.submitted == 100
         assert service.shed == 100 - accepted
         assert service.shed > 0
