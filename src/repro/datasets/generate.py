@@ -24,11 +24,15 @@ object-per-session classes instead and is the bit-identity oracle the
 tests compare against.  Both consume the same pre-drawn
 :class:`~repro.datasets.genx.plan.CorpusPlan` and per-session RNG
 streams and share one capture-and-prepare tail, so a fixed seed yields
-bit-identical corpora either way.
+bit-identical corpora either way.  :func:`generate_weblogs` runs the
+vectorized engine and the same proxy capture a block of sessions at a
+time and keeps only the weblogs: the replay traces of
+:mod:`repro.serving.replay`.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -62,6 +66,7 @@ __all__ = [
     "generate_cleartext_corpus",
     "generate_adaptive_corpus",
     "generate_encrypted_corpus",
+    "generate_weblogs",
     "reference_corpus",
 ]
 
@@ -76,6 +81,11 @@ DEFAULT_QUALITY_CAPS: Dict[int, float] = {
     720: 0.05,
     1080: 0.02,
 }
+
+#: Sessions :func:`generate_weblogs` simulates, captures and drops at a
+#: time.  Smaller blocks hold fewer sessions at once but pay the
+#: vectorized engine's per-round overhead over fewer lanes.
+_TRACE_BLOCK = 128
 
 _REG = get_registry()
 _SESSIONS_TOTAL = _REG.counter(
@@ -221,12 +231,53 @@ def generate_corpus(config: CorpusConfig) -> Corpus:
     started = time.perf_counter()
     plan, streams = _plan(config)
     corpus = _capture(config, plan, streams, simulate_sessions(plan, streams))
-    elapsed = time.perf_counter() - started
-    _SESSIONS_TOTAL.inc(len(corpus.sessions))
+    _record_generation(plan.n_sessions, time.perf_counter() - started)
+    return corpus
+
+
+def generate_weblogs(config: CorpusConfig) -> List[WeblogEntry]:
+    """``generate_corpus(config).weblogs``, a block of sessions at a time.
+
+    Only the proxy view is built: no device ground truth, no records.
+    The plan is simulated in blocks of ``_TRACE_BLOCK`` sessions, and
+    each block is captured and dropped before the next is simulated,
+    so the memory beside the returned entries is one block's sessions
+    whatever ``config.n_sessions`` is.  Sessions draw only from their
+    own streams and the realized epochs carry from block to block, so
+    the entries equal the corpus's, field for field.
+    """
+    from .genx.vector import simulate_sessions
+
+    started = time.perf_counter()
+    plan, streams = _plan(config)
+    capture = _ProxyCapture(config, plan)
+    for start in range(0, plan.n_sessions, _TRACE_BLOCK):
+        stop = min(start + _TRACE_BLOCK, plan.n_sessions)
+        # Taken off the list: a block's generators are spent once it
+        # is captured, and all of them would weigh a quarter of the
+        # trace.
+        block = streams[: stop - start]
+        del streams[: stop - start]
+        capture.observe(
+            simulate_sessions(plan.rows(start, stop), block), block
+        )
+    weblogs = capture.finish()
+    # The entries are what outlives this burst of allocations.  One
+    # full collection where the burst ends counts them in the
+    # collector's long-lived baseline and restarts its schedule, so the
+    # next full pass (about 50 ms over a 60k-entry trace) does not fall
+    # due inside whatever the caller runs next: without it, one landed
+    # in most serve-burst replays.
+    gc.collect()
+    _record_generation(plan.n_sessions, time.perf_counter() - started)
+    return weblogs
+
+
+def _record_generation(n_sessions: int, elapsed: float) -> None:
+    _SESSIONS_TOTAL.inc(n_sessions)
     _GENERATION_SECONDS.observe(elapsed)
     if elapsed > 0:
-        _SESSIONS_PER_SECOND.set(len(corpus.sessions) / elapsed)
-    return corpus
+        _SESSIONS_PER_SECOND.set(n_sessions / elapsed)
 
 
 def reference_corpus(config: CorpusConfig) -> Corpus:
@@ -241,49 +292,74 @@ def reference_corpus(config: CorpusConfig) -> Corpus:
     )
 
 
+class _ProxyCapture:
+    """The proxy half of corpus capture, fed sessions in plan order.
+
+    Each session starts where the previous one ended plus its planned
+    gap (the realized epochs), whether the sessions arrive in one block
+    or many; :meth:`finish` adds every gap's background noise and sorts
+    the weblogs by timestamp.
+    """
+
+    def __init__(self, config: CorpusConfig, plan: CorpusPlan) -> None:
+        self.config = config
+        self.plan = plan
+        self.proxy = WebProxy()
+        self.weblogs: List[WeblogEntry] = []
+        self.realized_epochs: List[float] = []
+        self.total_durations: List[float] = []
+        self._epoch = config.start_epoch_s
+        self._gaps = plan.gaps.tolist()
+
+    def observe(
+        self, sessions: List[VideoSession], streams: List[SessionStreams]
+    ) -> None:
+        """Capture the plan's next sessions, each with its own streams."""
+        for session, session_streams in zip(sessions, streams):
+            i = len(self.realized_epochs)
+            self.realized_epochs.append(self._epoch)
+            self.total_durations.append(session.total_duration_s)
+            self.weblogs.extend(
+                self.proxy.observe(
+                    session,
+                    subscriber_id=self.plan.subscribers[i],
+                    start_epoch_s=self._epoch,
+                    encrypted=self.config.encrypted,
+                    rng=session_streams.proxy,
+                )
+            )
+            self._epoch += session.total_duration_s + self._gaps[i]
+
+    def finish(self) -> List[WeblogEntry]:
+        self.weblogs.extend(
+            build_noise_entries(
+                self.plan,
+                self.realized_epochs,
+                self.total_durations,
+                self.config.encrypted,
+            )
+        )
+        self.weblogs.sort(key=lambda e: e.timestamp_s)
+        return self.weblogs
+
+
 def _capture(
     config: CorpusConfig,
     plan: CorpusPlan,
     streams: List[SessionStreams],
     sessions: List[VideoSession],
 ) -> Corpus:
-    # Realized epochs: each session starts where the previous one ended
-    # plus the planned gap.
-    realized_epochs: List[float] = []
-    total_durations: List[float] = []
-    epoch = config.start_epoch_s
-    gaps = plan.gaps.tolist()
-    for i, session in enumerate(sessions):
-        realized_epochs.append(epoch)
-        total_durations.append(session.total_duration_s)
-        epoch += session.total_duration_s + gaps[i]
+    capture = _ProxyCapture(config, plan)
+    capture.observe(sessions, streams)
+    weblogs = capture.finish()
 
-    proxy = WebProxy()
     device = DeviceLogger()
-    weblogs: List[WeblogEntry] = []
-    summaries: List[PlaybackSummary] = []
+    summaries = [device.playback_summary(session) for session in sessions]
     segment_records: List[SegmentRecord] = []
-    for i, session in enumerate(sessions):
-        weblogs.extend(
-            proxy.observe(
-                session,
-                subscriber_id=plan.subscribers[i],
-                start_epoch_s=realized_epochs[i],
-                encrypted=config.encrypted,
-                rng=streams[i].proxy,
-            )
-        )
-        summaries.append(device.playback_summary(session))
+    for session, epoch in zip(sessions, capture.realized_epochs):
         segment_records.extend(
-            device.segment_records(session, start_epoch_s=realized_epochs[i])
+            device.segment_records(session, start_epoch_s=epoch)
         )
-    weblogs.extend(
-        build_noise_entries(
-            plan, realized_epochs, total_durations, config.encrypted
-        )
-    )
-
-    weblogs.sort(key=lambda e: e.timestamp_s)
 
     if config.encrypted:
         records = records_from_reconstruction(

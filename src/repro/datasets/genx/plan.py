@@ -75,6 +75,32 @@ class CorpusPlan:
     def n_sessions(self) -> int:
         return len(self.videos)
 
+    def rows(self, start: int, stop: int) -> "CorpusPlan":
+        """Sessions ``start..stop-1`` as a plan of their own.
+
+        Each session draws only from its own streams, so simulating a
+        row view with ``streams[start:stop]`` yields the same sessions
+        as those rows of the whole plan.
+        """
+        cursor = np.concatenate(([0], np.cumsum(self.noise_counts)))
+        lo, hi = int(cursor[start]), int(cursor[stop])
+        return CorpusPlan(
+            videos=self.videos[start:stop],
+            places=self.places[start:stop],
+            profiles=self.profiles[start:stop],
+            outages=self.outages[start:stop],
+            adaptive=self.adaptive[start:stop],
+            caps=self.caps[start:stop],
+            gaps=self.gaps[start:stop],
+            scheduled_epochs=self.scheduled_epochs[start:stop],
+            subscribers=self.subscribers[start:stop],
+            noise_counts=self.noise_counts[start:stop],
+            noise_host_idx=self.noise_host_idx[lo:hi],
+            noise_sizes=self.noise_sizes[lo:hi],
+            noise_ts_u=self.noise_ts_u[lo:hi],
+            noise_transactions=self.noise_transactions[lo:hi],
+        )
+
 
 def build_plan(
     config: "CorpusConfig",

@@ -39,9 +39,13 @@ design is built around them:
   buffer until acknowledged — so a dropped connection loses nothing:
   the reconnect handshake (``hello`` → ``hello_ack``) learns the
   worker's ``recv_seq``, prunes the buffer, and resends the gap **in
-  order**.  The worker's per-subscriber monotonicity watermark
-  therefore survives a reconnect with no duplicate and no regressed
-  entry.
+  order**, ``_SEND_BATCH`` entries per frame.  The numbers are
+  contiguous, so the buffer holds the entries alone.  The worker's
+  per-subscriber monotonicity watermark therefore survives a
+  reconnect with no duplicate and no regressed entry.  A restart
+  follows the same rule: a standalone worker that outlived the
+  parent-side death answers with its own incarnation and continues
+  at its ``recv_seq``.
 * **One outbox, acknowledged the same way.**  Results travel the
   other way under the same rule.  Every diagnosis, alarm, provisional
   diagnosis and dead letter the worker produces is appended, in
@@ -895,8 +899,15 @@ class SocketShardWorker:
         self.heartbeat_s = 0.0
         self._connection_alive = False
         self._kill_times_left = config.kill_times
+        #: Counters of the incarnations before ``_worker_incarnation``.
         self._entries_base = 0
         self._quarantined_base = 0
+        #: Worker state epoch from hello_ack; a changed incarnation on
+        #: reconnect means a different worker process answered at the
+        #: same address (state lost), whatever its recv_seq claims.
+        self._worker_incarnation: Optional[int] = None
+        #: Outbox items of ``_worker_incarnation`` applied here, in order.
+        self._out_acked = 0
         self._token = f"svc-{os.getpid()}-{id(self):x}"
         # Self-launched workers get a fresh random key handed over out
         # of band (pickled process args / thread kwargs) — authenticated
@@ -915,29 +926,29 @@ class SocketShardWorker:
         self._reset_incarnation()
 
     def _reset_incarnation(self) -> None:
-        """Reset what belongs to one worker incarnation.
+        """Reset what the parent shipped to the worker it lost.
 
-        A replacement worker starts empty at recv_seq 0, so the whole
-        sequence space goes with the old one: a stale ``_acked_seq``
-        would make the first resume after a restart read as worker
-        state lost and mark subscribers the dead worker never saw.
+        The entry sequence restarts at 0 until the next ``hello_ack``
+        says where the answering worker stands (:meth:`_adopt`): a
+        replacement starts at 0, a standalone worker that outlived the
+        death continues at its own ``recv_seq``.  A stale
+        ``_acked_seq`` would make the first resume after a restart read
+        as worker state lost and mark subscribers the dead worker never
+        saw.  The outbox count stays with the incarnation it names.
         """
         self._stream: Optional[FrameStream] = None
-        #: Worker state epoch from hello_ack; a changed incarnation on
-        #: reconnect means a different worker process answered at the
-        #: same address (state lost), whatever its recv_seq claims.
-        self._worker_incarnation: Optional[int] = None
+        #: Highest sequence shipped; the unacked buffer holds the
+        #: entries numbered ``_seq - len(_unacked) + 1 .. _seq``.
         self._seq = 0
         self._acked_seq = 0
-        #: Sent-but-unacknowledged ``(seq, entry)``, pruned by acks.
-        self._unacked: Deque[Tuple[int, WeblogEntry]] = deque()
+        #: Sent-but-unacknowledged entries in sequence order, pruned by
+        #: acks.
+        self._unacked: Deque[WeblogEntry] = deque()
         #: Blast radius of a worker death: every subscriber shipped.
         self._shipped_to: Set[str] = set()
         #: ``len(_shipped_to)``, published by the I/O thread for readers
         #: on other threads (the set itself is its own).
         self.seen_subscribers = 0
-        #: Outbox items of ``_worker_incarnation`` applied here, in order.
-        self._out_acked = 0
         self._draining = False
         self._death_report: Optional[Dict] = None
 
@@ -979,7 +990,9 @@ class SocketShardWorker:
         Local/inproc modes launch a fresh worker (the dead one's state
         is gone — the process-death blast radius); remote mode
         re-attempts the connection with a full (model-carrying) hello,
-        which reaches whatever the operator restarted at that address.
+        which reaches whatever the operator restarted at that address —
+        or the standalone worker that outlived the death, which then
+        continues its entry sequence and outbox (:meth:`_adopt`).
         The fault plan's remaining kill budget rides in the refreshed
         config so an injected kill cannot loop.
         """
@@ -1074,7 +1087,30 @@ class SocketShardWorker:
         with trace("serving.shard_launch") as span:
             span.add("launches", 1)
             self._launch_worker()
-            self._worker_incarnation = self._establish().get("incarnation")
+            self._adopt(self._establish())
+
+    def _adopt(self, ack: Dict) -> bool:
+        """Take up the sequence state a ``hello_ack`` reports.
+
+        One rule for a start, a restart and a reconnect: the
+        incarnation this handle last spoke to continues where it
+        stands — entries after its ``recv_seq``, results after this
+        handle's count — and any other incarnation starts both afresh,
+        its counters added to the totals so far.  Returns True when
+        another incarnation answered.
+        """
+        recv_seq = int(ack.get("recv_seq", 0))
+        incarnation = ack.get("incarnation")
+        replaced = incarnation != self._worker_incarnation
+        if replaced:
+            self._worker_incarnation = incarnation
+            self._out_acked = 0
+            self._entries_base = self.entries_processed
+            self._quarantined_base = self.quarantined
+        self._seq = max(self._seq, recv_seq)
+        self._acked_seq = recv_seq
+        self._prune_unacked(recv_seq)
+        return replaced
 
     def _launch_worker(self) -> None:
         if self.mode == "remote":
@@ -1267,10 +1303,9 @@ class SocketShardWorker:
             # Into the unacked buffer before the send: if the send
             # fails, the resume resends them in order.
             base_seq = self._seq + 1
-            for entry in batch:
-                self._seq += 1
-                self._unacked.append((self._seq, entry))
-                self._shipped_to.add(entry.subscriber_id)
+            self._seq += len(batch)
+            self._unacked.extend(batch)
+            self._shipped_to.update(entry.subscriber_id for entry in batch)
             self.seen_subscribers = len(self._shipped_to)
             if self._slow_link is not None:
                 delay = self._slow_link(base_seq)
@@ -1314,7 +1349,9 @@ class SocketShardWorker:
     def _prune_unacked(self, recv_seq: int) -> None:
         self._acked_seq = max(self._acked_seq, recv_seq)
         entries = self._unacked
-        while entries and entries[0][0] <= recv_seq:
+        # The buffer's first entry is number _seq - len + 1.
+        acked = recv_seq - (self._seq - len(entries))
+        for _ in range(min(acked, len(entries))):
             entries.popleft()
 
     def _try_reconnect(self, cause: BaseException) -> bool:
@@ -1373,11 +1410,8 @@ class SocketShardWorker:
         ``FrameError`` / ``OSError`` when the fresh connection fails
         during the resend.
         """
-        ack = self._establish()
-        recv_seq = int(ack.get("recv_seq", 0))
-        incarnation = ack.get("incarnation")
-        replaced = incarnation != self._worker_incarnation
-        if replaced or recv_seq < self._acked_seq:
+        acked = self._acked_seq
+        if self._adopt(self._establish()) or self._acked_seq < acked:
             # The worker lost state underneath us (fresh process at
             # the same address — changed incarnation or regressed
             # watermark): results so far are kept, but every
@@ -1387,26 +1421,25 @@ class SocketShardWorker:
             _LOG.error(
                 "netshard_worker_state_lost",
                 shard=self.index,
-                acked=self._acked_seq,
-                worker_recv=recv_seq,
+                acked=acked,
+                worker_recv=self._acked_seq,
             )
-        if replaced:
-            # The new worker ignored our count (it named another
-            # incarnation) and ships its outbox from index 0.
-            self._worker_incarnation = incarnation
-            self._out_acked = 0
-        self._acked_seq = recv_seq
-        self._prune_unacked(recv_seq)
-        for seq, entry in self._unacked:
+        unacked = list(self._unacked)
+        first = self._seq - len(unacked) + 1
+        for lo in range(0, len(unacked), _SEND_BATCH):
             self._stream.send(
                 "entries",
-                {"base_seq": seq, "entries": [entry], "out_acked": self._out_acked},
+                {
+                    "base_seq": first + lo,
+                    "entries": unacked[lo : lo + _SEND_BATCH],
+                    "out_acked": self._out_acked,
+                },
             )
         if self._draining:
             self._stream.send("drain", {})
-        if self._unacked:
-            _RESENT.labels(shard=str(self.index)).inc(len(self._unacked))
-        return len(self._unacked)
+        if unacked:
+            _RESENT.labels(shard=str(self.index)).inc(len(unacked))
+        return len(unacked)
 
     # ------------------------------------------------------------------
     # Message application (I/O thread only)
@@ -1465,8 +1498,6 @@ class SocketShardWorker:
         self.error = ShardConnectionLost(
             f"shard {self.index} connection lost beyond recovery: {detail}"
         )
-        self._entries_base = self.entries_processed
-        self._quarantined_base = self.quarantined
         get_recorder().record(
             "shard_worker_died", shard=self.index, error=repr(self.error)
         )

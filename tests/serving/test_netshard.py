@@ -1109,6 +1109,150 @@ class TestRestartResetsWatermarks:
         ) == diagnosis_multiset(reference.diagnoses)
 
 
+def _standalone_worker():
+    """A standalone worker thread, as the CLI starts one; its port."""
+    ports = []
+    ready = threading.Event()
+
+    def on_port(port):
+        ports.append(port)
+        ready.set()
+
+    worker = threading.Thread(
+        target=run_worker,
+        kwargs={"port": 0, "on_port": on_port, "in_process": True},
+        daemon=True,
+    )
+    worker.start()
+    assert ready.wait(timeout=10.0), "standalone worker never bound"
+    return worker, ports[0]
+
+
+def _serial_over(framework, entries):
+    monitor = RealTimeMonitor(framework, tracker=OnlineSessionTracker())
+    monitor.feed_many(entries)
+    monitor.drain()
+    return monitor
+
+
+class TestRemoteRestartOverASurvivingWorker:
+    def test_restart_continues_the_surviving_workers_sequences(
+        self, serving_framework, serving_trace
+    ):
+        """The handle declares a standalone worker dead (every
+        reconnect fails until the deadline) while the worker lives on.
+        The restart's hello reaches that worker, which still holds
+        recv_seq 237: the handle must continue the sequence there, not
+        at 1, or the worker drops every new entry as a resend
+        duplicate."""
+        from repro.serving.netshard import ShardUnreachable
+
+        entries = serving_trace[:474]
+        worker, port = _standalone_worker()
+        handle = SocketShardWorker(
+            NetShardConfig(index=0, framework=serving_framework),
+            BoundedQueue(capacity=len(entries)),
+            DeadLetterQueue(),
+            mode="remote",
+            address=("127.0.0.1", port),
+            opts=SocketOpts(connect_deadline_s=0.3),
+        )
+
+        def wait_for(condition, what):
+            deadline = time.monotonic() + 30.0
+            while not condition():
+                assert time.monotonic() < deadline, what
+                time.sleep(0.01)
+
+        def unreachable():
+            raise ShardUnreachable("the worker is out of reach")
+
+        handle.start()
+        handle.queue.put_many(entries[:237])
+        wait_for(lambda: handle.entries_processed == 237, "first half unprocessed")
+        handle._resume = unreachable
+        handle.drop_connection_for_test()
+        wait_for(lambda: handle.state == "failed", "the handle never gave up")
+        del handle._resume
+        handle.restart()
+        assert handle.state == "running"
+        handle.queue.put_many(entries[237:])
+        handle.queue.close()
+        handle.join(timeout=30.0)
+        worker.join(timeout=10.0)
+
+        assert handle.state == "stopped"
+        assert not worker.is_alive()
+        assert handle.entries_processed == 474
+        serial = _serial_over(serving_framework, entries)
+        assert serial.diagnoses
+        # Equal multisets: nothing lost, and nothing the worker shipped
+        # before the death is applied twice after the restart.
+        assert diagnosis_multiset(handle.diagnoses) == diagnosis_multiset(
+            serial.diagnoses
+        )
+        assert alarm_multiset(handle.alarms) == alarm_multiset(serial.alarms)
+
+
+class TestResumeResendsInBatches:
+    def test_unacked_window_goes_out_in_send_batches(
+        self, serving_framework, serving_trace
+    ):
+        """600 entries shipped into a connection that lost them: the
+        resume resends them in ceil(600 / 256) frames with contiguous
+        base sequences, and the worker processes every one."""
+        from repro.serving.netshard import _SEND_BATCH
+
+        entries = serving_trace[:600]
+        worker, port = _standalone_worker()
+        handle = SocketShardWorker(
+            NetShardConfig(index=0, framework=serving_framework),
+            BoundedQueue(capacity=len(entries)),
+            DeadLetterQueue(),
+            mode="remote",
+            address=("127.0.0.1", port),
+        )
+        handle._launch_and_connect()
+        handle.queue.put_many(entries)
+        while handle.queue.depth:
+            handle._ship_batch(_SentFrames())  # sent, never delivered
+        assert len(handle._unacked) == len(entries)
+        handle._close_stream()
+
+        establish = handle._establish
+        resent = []
+
+        def recording_establish():
+            ack = establish()
+            send = handle._stream.send
+
+            def record(kind, payload):
+                resent.append((kind, payload))
+                send(kind, payload)
+
+            handle._stream.send = record
+            return ack
+
+        handle._establish = recording_establish
+        assert handle._resume() == len(entries)
+        assert [kind for kind, _ in resent] == ["entries"] * 3
+        assert [p["base_seq"] for _, p in resent] == [
+            1, 1 + _SEND_BATCH, 1 + 2 * _SEND_BATCH
+        ]
+        assert [e for _, p in resent for e in p["entries"]] == entries
+
+        handle._stream.send("drain", {})
+        deadline = time.monotonic() + 30.0
+        while handle.state != "stopped":
+            assert time.monotonic() < deadline, "worker never drained"
+            handle._read(handle._stream, 0.5)
+        worker.join(timeout=10.0)
+        assert handle.entries_processed == len(entries)
+        assert diagnosis_multiset(handle.diagnoses) == diagnosis_multiset(
+            _serial_over(serving_framework, entries).diagnoses
+        )
+
+
 class _DeathWatchQueue(BoundedQueue):
     """Records the handle's ``state`` at every entry it hands out.
 

@@ -2,12 +2,48 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import time
+import tracemalloc
 
 import pytest
 
+from repro.datasets import generate
+from repro.datasets.generate import CorpusConfig, generate_corpus
+from repro.obs import get_registry
 from repro.serving.replay import ReplayStats, TraceReplayer, synthetic_trace
 from repro.serving.service import QoEService
+
+
+def _reference_trace(n_sessions, seed, subscribers):
+    """``synthetic_trace`` as first defined: the weblogs of a whole
+    encrypted corpus, folded onto ``subscribers`` ids by copies."""
+    entries = generate_corpus(
+        CorpusConfig(
+            n_sessions=n_sessions,
+            seed=seed,
+            adaptive_fraction=0.25,
+            encrypted=True,
+        )
+    ).weblogs
+    if subscribers is None:
+        return entries
+    mapping = {}
+    folded = []
+    for entry in entries:
+        target = mapping.setdefault(
+            entry.subscriber_id, f"sub-{len(mapping) % subscribers:04d}"
+        )
+        folded.append(dataclasses.replace(entry, subscriber_id=target))
+    return folded
+
+
+def _sessions_total():
+    for family in get_registry().collect():
+        if family.name == "repro_datasets_sessions_total":
+            return sum(child.value for _labels, child in family.samples())
+    return 0.0
 
 
 class TestSyntheticTrace:
@@ -41,6 +77,47 @@ class TestSyntheticTrace:
     def test_invalid_subscriber_count(self):
         with pytest.raises(ValueError):
             synthetic_trace(4, subscribers=0)
+
+
+class TestBlockwiseSynthesis:
+    @pytest.mark.parametrize("subscribers", [None, 3])
+    @pytest.mark.parametrize(
+        "block, n_sessions", [(1, 12), (7, 30), (None, 130)]
+    )
+    def test_equals_the_whole_corpus_definition(
+        self, monkeypatch, block, n_sessions, subscribers
+    ):
+        """Any block size, a partial last block included, yields the
+        entries of the whole corpus, field for field and in order."""
+        if block is not None:
+            monkeypatch.setattr(generate, "_TRACE_BLOCK", block)
+        trace = synthetic_trace(n_sessions, seed=2, subscribers=subscribers)
+        assert trace == _reference_trace(n_sessions, 2, subscribers)
+
+    def test_counts_every_simulated_session(self):
+        before = _sessions_total()
+        synthetic_trace(9, seed=4)
+        assert _sessions_total() - before == 9
+
+    def test_peak_is_bounded_by_the_trace(self, monkeypatch):
+        """Beside the trace it returns, synthesis holds one block of
+        sessions, not the corpus: building the whole corpus first
+        peaked at 3.15x the trace."""
+        monkeypatch.setattr(generate, "_TRACE_BLOCK", 32)
+        synthetic_trace(4, seed=5)  # imports and caches outside the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            trace = synthetic_trace(300, seed=5, subscribers=8)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = current - base
+        assert len(trace) > 10_000
+        assert peak - base <= 2.0 * size, (
+            f"peak {(peak - base) / size:.2f}x the trace"
+        )
 
 
 class TestTraceReplayer:
