@@ -157,10 +157,12 @@ def _train_or_load_framework(args, log):
 def _diagnosis_multiset(diagnoses, exclude_subscribers=frozenset()):
     """Comparable multiset of diagnoses, optionally minus some subscribers.
 
-    Session ids are ``{subscriber}/online-{n}``, so the subscriber is
-    recoverable here — used to restrict the determinism check to
-    fault-untouched subscribers under an active chaos plan.
+    The subscriber is recoverable from an online session id — used to
+    restrict the determinism check to fault-untouched subscribers under
+    an active chaos plan.
     """
+    from repro.datasets.preparation import subscriber_of
+
     return sorted(
         (
             d.session_id,
@@ -169,7 +171,7 @@ def _diagnosis_multiset(diagnoses, exclude_subscribers=frozenset()):
             d.has_quality_switches,
         )
         for d in diagnoses
-        if d.session_id.rsplit("/online-", 1)[0] not in exclude_subscribers
+        if subscriber_of(d.session_id) not in exclude_subscribers
     )
 
 

@@ -45,7 +45,7 @@ from repro.network.diurnal import DiurnalLoadModel
 from repro.network.mobility import COMMUTER_USER, STATIC_USER, MobilityModel
 from repro.network.path import NetworkPath
 from repro.network.tcp import TcpConnection
-from repro.obs import get_registry
+from repro.obs import get_registry, trace
 from repro.streaming.adaptive import AdaptivePlayer, AdaptivePlayerConfig
 from repro.streaming.catalog import DASH_LADDER, VideoCatalog
 from repro.streaming.progressive import ProgressivePlayer
@@ -362,13 +362,15 @@ def _capture(
         )
 
     if config.encrypted:
-        records = records_from_reconstruction(
-            SessionReconstructor().reconstruct(weblogs),
-            summaries,
-            segment_records,
-        )
-    else:
-        records = group_cleartext_sessions(weblogs)
+        reconstructed = SessionReconstructor().reconstruct(weblogs)
+    with trace("datasets.preparation") as span:
+        if config.encrypted:
+            records = records_from_reconstruction(
+                reconstructed, summaries, segment_records
+            )
+        else:
+            records = group_cleartext_sessions(weblogs)
+        span.add("sessions", len(records))
 
     return Corpus(
         sessions=sessions,

@@ -29,8 +29,10 @@ __all__ = [
     "group_cleartext_sessions",
     "media_arrays",
     "media_record",
+    "online_session_id",
     "record_from_video_session",
     "records_from_reconstruction",
+    "subscriber_of",
 ]
 
 
@@ -76,6 +78,21 @@ def media_record(
         **media_arrays(media),
         **ground_truth,
     )
+
+
+def online_session_id(subscriber_id: str, sequence: int) -> str:
+    """The id of a subscriber's ``sequence``-th session closed online."""
+    return f"{subscriber_id}/online-{sequence}"
+
+
+def subscriber_of(session_id: str) -> str:
+    """The subscriber of an :func:`online_session_id`.
+
+    The split is at the last ``/online-``, so a subscriber id may hold
+    ``/`` (and even ``/online-``) of its own.  An id of another form is
+    returned whole.
+    """
+    return session_id.rsplit("/online-", 1)[0]
 
 
 def group_cleartext_sessions(

@@ -14,12 +14,15 @@ generator shared across trees — and floating-point partials are
 combined per fixed-size tree block in block order, so a fitted forest
 is bit-identical for any ``n_jobs`` given the same ``random_state``.
 
-:meth:`predict_proba` runs in-process: all trees are concatenated into
-one node array (built lazily, once per fitted or loaded ensemble) and
-every (row, tree) pair steps through it in a single index walk.  The
-leaf votes are summed in the same order as tree-by-tree scoring —
-sequentially within each block, then blocks in order — so the
-probabilities are the same bits.
+:meth:`predict_proba` runs in-process over all trees concatenated into
+one node array (built lazily, once per fitted or loaded ensemble), by
+one of two walks chosen by row count.  A batch steps every (row, tree)
+pair through the array in one vectorised index walk; a single row —
+the per-chunk early prediction of a live session — walks each tree in
+Python over list views of the same nodes, where NumPy's per-call
+overhead would cost more than the walk.  Both sum the leaf votes in
+the order of tree-by-tree scoring — sequentially within each block,
+then blocks in order — so every row gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ class _FlatWalk(NamedTuple):
     point both children at themselves (split feature 0), so a fixed
     ``depth`` steps leave every walker on its leaf.  ``proba[node]`` is
     the node's class distribution placed in the forest's class space.
-    ``estimators`` is the list the walk was built from.
+    ``lists`` holds ``feature``, ``threshold``, ``left`` and ``right``
+    again as Python lists, for the one-row walk.  ``estimators`` is the
+    list the walk was built from.
     """
 
     feature: np.ndarray
@@ -118,6 +123,7 @@ class _FlatWalk(NamedTuple):
     roots: np.ndarray
     proba: np.ndarray
     depth: int
+    lists: tuple
     estimators: list
 
 
@@ -139,16 +145,79 @@ def _flatten(estimators: list, n_classes: int) -> _FlatWalk:
         proba[root:root + size, tree.classes_.astype(int)] = (
             leaf_distribution(tree._value, tree.n_classes_)
         )
+    feature = np.concatenate(feature)
+    threshold = np.concatenate(threshold)
+    left = np.concatenate(left)
+    right = np.concatenate(right)
     return _FlatWalk(
-        feature=np.concatenate(feature),
-        threshold=np.concatenate(threshold),
-        left=np.concatenate(left),
-        right=np.concatenate(right),
+        feature=feature,
+        threshold=threshold,
+        left=left,
+        right=right,
         roots=roots,
         proba=proba,
         depth=max(tree.max_depth_ for tree in estimators),
+        lists=(
+            feature.tolist(), threshold.tolist(), left.tolist(), right.tolist()
+        ),
         estimators=estimators,
     )
+
+
+def _batch_votes(walk: _FlatWalk, X: np.ndarray) -> np.ndarray:
+    """Summed leaf votes of every row of ``X``, one walker per (row, tree)."""
+    n_rows, n_trees = X.shape[0], walk.roots.size
+    # Each walker steps through ``X[row, feature] <= threshold``
+    # exactly as DecisionTreeClassifier.apply does.
+    flat_x = np.ascontiguousarray(X).ravel()
+    offsets = (np.arange(n_rows) * X.shape[1])[:, None]
+    nodes = np.broadcast_to(walk.roots, (n_rows, n_trees))
+    for _ in range(walk.depth):
+        go_left = (
+            flat_x[offsets + walk.feature[nodes]] <= walk.threshold[nodes]
+        )
+        nodes = np.where(go_left, walk.left[nodes], walk.right[nodes])
+    votes = walk.proba[nodes]
+    # Sum trees sequentially within each block, then blocks in order
+    # (cumsum along the tree axis is sequential).
+    proba = np.zeros((n_rows, walk.proba.shape[1]))
+    for a, b in block_ranges(n_trees, _TREE_BLOCK):
+        proba += np.cumsum(votes[:, a:b], axis=1)[:, -1]
+    return proba
+
+
+def _row_votes(walk: _FlatWalk, x: list) -> np.ndarray:
+    """:func:`_batch_votes` of the single row ``x``, in Python floats.
+
+    Each tree is walked until a node's child is the node itself (a
+    leaf); the comparison is the same IEEE ``<=`` (NaN goes right).
+    The votes are added in the batch walk's order, and Python floats
+    are IEEE doubles, so the sums are the same bits.
+    """
+    feature, threshold, left, right = walk.lists
+    leaves = []
+    for node in walk.roots.tolist():
+        while True:
+            if x[feature[node]] <= threshold[node]:
+                child = left[node]
+            else:
+                child = right[node]
+            if child == node:
+                break
+            node = child
+        leaves.append(node)
+    votes = walk.proba.take(leaves, axis=0).tolist()
+    blocks = block_ranges(len(votes), _TREE_BLOCK)
+    total = []
+    for k in range(walk.proba.shape[1]):
+        column = 0.0
+        for a, b in blocks:
+            block = votes[a][k]
+            for vote in votes[a + 1:b]:
+                block += vote[k]
+            column += block
+        total.append(column)
+    return np.array([total])
 
 
 class RandomForestClassifier:
@@ -176,7 +245,7 @@ class RandomForestClassifier:
     n_jobs:
         Worker processes for fitting.  ``None``/1 runs serially; ``-1``
         uses all cores.  Results are bit-identical for any value.
-        Prediction always runs in-process as one flat walk.
+        Prediction always runs in-process, over one flat node array.
     """
 
     def __init__(
@@ -270,7 +339,13 @@ class RandomForestClassifier:
             raise RuntimeError("forest is not fitted; call fit() first")
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Average of the trees' leaf class distributions."""
+        """Average of the trees' leaf class distributions.
+
+        One row walks the trees in Python (:func:`_row_votes`), more
+        rows in one vectorised walk (:func:`_batch_votes`); the votes
+        are summed in one order, so a row's probabilities are the same
+        bits alone or in a batch.
+        """
         self._check_fitted()
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -285,28 +360,14 @@ class RandomForestClassifier:
             )
         with trace("ml.forest_predict") as span:
             walk = self._walk()
-            n_rows, n_trees = X.shape[0], walk.roots.size
-            # One walker per (row, tree), each stepping through
-            # ``X[row, feature] <= threshold`` exactly as
-            # DecisionTreeClassifier.apply does.
-            flat_x = np.ascontiguousarray(X).ravel()
-            offsets = (np.arange(n_rows) * X.shape[1])[:, None]
-            nodes = np.broadcast_to(walk.roots, (n_rows, n_trees))
-            for _ in range(walk.depth):
-                go_left = (
-                    flat_x[offsets + walk.feature[nodes]]
-                    <= walk.threshold[nodes]
-                )
-                nodes = np.where(go_left, walk.left[nodes], walk.right[nodes])
-            votes = walk.proba[nodes]
-            # Sum trees sequentially within each block, then blocks in
-            # order (cumsum along the tree axis is sequential).
-            proba = np.zeros((n_rows, self.classes_.size))
-            for a, b in block_ranges(n_trees, _TREE_BLOCK):
-                proba += np.cumsum(votes[:, a:b], axis=1)[:, -1]
+            n_rows = X.shape[0]
+            if n_rows == 1:
+                proba = _row_votes(walk, X[0].tolist())
+            else:
+                proba = _batch_votes(walk, X)
             span.add("rows", n_rows)
         _PREDICTIONS.inc(n_rows)
-        return proba / n_trees
+        return proba / walk.roots.size
 
     def _walk(self) -> _FlatWalk:
         """The flattened trees, derived once per fitted ensemble.

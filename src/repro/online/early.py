@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.datasets.preparation import subscriber_of
 from repro.datasets.schema import SessionRecord
 from repro.obs import get_registry
 from repro.online.snapshot import StreamingSessionState
@@ -368,7 +369,7 @@ class EarlyPredictor:
         :class:`~repro.core.framework.SessionDiagnosis`.  Sessions
         that never reached a provisional prediction are ignored.
         """
-        subscriber = record.session_id.rsplit("/online-", 1)[0]
+        subscriber = subscriber_of(record.session_id)
         track = self._tracks.get(subscriber)
         if track is not None and track.session_id == diagnosis.session_id:
             self._tracks.pop(subscriber)

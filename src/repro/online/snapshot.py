@@ -23,7 +23,11 @@ feature columns a fitted detector selected and compute only the series
 and statistics those columns read.
 
 **Cost.**  A snapshot re-reads the whole prefix, so its cost grows with
-session length (docs/ARCHITECTURE.md §online has the figures).
+session length: with the perfbench serving model's columns about
+0.2-0.35 ms at chunks 25-64 and 0.9-1.0 ms at 1000 (process CPU on a
+shared 2-vCPU VM; docs/ARCHITECTURE.md §online has the figures).  Each
+metric's order statistics come from one sort
+(:func:`~repro.timeseries.stats.summary_statistics`).
 """
 
 from __future__ import annotations

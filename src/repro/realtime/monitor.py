@@ -22,6 +22,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.capture.weblog import WeblogEntry
 from repro.core.framework import QoEFramework, SessionDiagnosis
+from repro.datasets.preparation import subscriber_of
 from repro.obs import get_logger, get_registry
 from repro.online.early import EarlyPredictor, ProvisionalDiagnosis
 
@@ -200,7 +201,7 @@ class RealTimeMonitor:
         started = time.perf_counter()
         diagnoses = self.framework.diagnose(records)
         for record, diagnosis in zip(records, diagnoses):
-            subscriber = record.session_id.split("/", 1)[0]
+            subscriber = subscriber_of(record.session_id)
             health = self.health[subscriber]
             health.update(diagnosis)
             self.diagnoses.append(diagnosis)

@@ -19,7 +19,7 @@ from repro.capture.reconstruction import (
     SessionReconstructor,
 )
 from repro.capture.weblog import WeblogEntry
-from repro.datasets.preparation import media_record
+from repro.datasets.preparation import media_record, online_session_id
 from repro.datasets.schema import SessionRecord
 from repro.obs import get_registry
 from repro.online.snapshot import StreamingSessionState
@@ -107,7 +107,9 @@ class OnlineSessionTracker:
             sequence = self._sequence.get(subscriber, 0) + 1
             self._sequence[subscriber] = sequence
             records.append(
-                media_record(f"{subscriber}/online-{sequence}", session.media)
+                media_record(
+                    online_session_id(subscriber, sequence), session.media
+                )
             )
         return records
 
@@ -136,9 +138,8 @@ class OnlineSessionTracker:
         share this provisional id; the early predictor guards against
         the collision with the closed record's chunk count.
         """
-        return (
-            f"{subscriber_id}/online-"
-            f"{self._sequence.get(subscriber_id, 0) + 1}"
+        return online_session_id(
+            subscriber_id, self._sequence.get(subscriber_id, 0) + 1
         )
 
     def flush(self, now_s: Optional[float] = None) -> List[SessionRecord]:

@@ -7,8 +7,9 @@ paper (Figs. 2, 4, 5) are ECDFs.  Both primitives live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -55,18 +56,34 @@ SUMMARY_STATS_EXTENDED: Tuple[str, ...] = (
 )
 
 
-def _single_stat(values: np.ndarray, stat: str) -> float:
-    if stat == "min":
-        return float(np.min(values))
-    if stat == "max":
-        return float(np.max(values))
-    if stat == "mean":
-        return float(np.mean(values))
-    if stat == "std":
-        return float(np.std(values))
-    if stat.startswith("p"):
-        return float(np.percentile(values, float(stat[1:])))
-    raise ValueError(f"unknown statistic: {stat!r}")
+def _percentile(ordered: List[float], q: float) -> float:
+    """``np.percentile(values, q)`` of the ascending ``ordered`` list.
+
+    NumPy's ``method="linear"`` in scalar float arithmetic: the virtual
+    index ``(n - 1) * (q / 100)``, its floor and the next index, with an
+    index at or past ``n - 1`` meaning "the last value" (NumPy's ``-1``,
+    which also sets the weight to ``virtual + 1``), then ``_lerp``:
+    ``a + (b - a) * t``, replaced by ``b - (b - a) * (1 - t)`` where
+    ``t >= 0.5``.  Python floats are IEEE doubles, so each operation
+    rounds as NumPy's does.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError("Percentiles must be in the range [0, 100]")
+    last = len(ordered) - 1
+    virtual = last * (q / 100)
+    if virtual >= last:
+        previous = following = last
+        weight = virtual + 1
+    else:
+        previous = math.floor(virtual)
+        following = previous + 1
+        weight = virtual - previous
+    a = ordered[previous]
+    b = ordered[following]
+    span = b - a
+    if weight >= 0.5:
+        return b - span * (1 - weight)
+    return a + span * weight
 
 
 def _as_float_array(values: Sequence[float]) -> np.ndarray:
@@ -90,29 +107,46 @@ def summary_statistics(
 ) -> Dict[str, float]:
     """Compute the named summary statistics of a value sequence.
 
-    Empty sequences map every statistic to 0.0 (a session with no
-    observations of a metric carries no signal; zeros keep the feature
-    matrix rectangular without NaN handling downstream).
+    Non-finite values are dropped first.  Empty sequences map every
+    statistic to 0.0 (a session with no observations of a metric
+    carries no signal; zeros keep the feature matrix rectangular
+    without NaN handling downstream).
 
-    All requested percentiles are computed in a single
-    ``np.percentile`` call — identical values to per-stat calls (same
-    interpolation on the same data), but one partition instead of up to
-    eleven.  This sits on the per-record hot path of every feature
-    build, online and offline.
+    Order statistics come from one sort: ``min`` and ``max`` are the
+    ends of the sorted values and each percentile is a scalar replica
+    of ``np.percentile``'s ``method="linear"`` on them, byte-equal to
+    it (when ``0.0`` and ``-0.0`` both occur, which of them a rank holds
+    is the sort's choice, as it is the partition's in NumPy).  ``mean``
+    and ``std`` are ``np.mean`` and ``np.std``.  This is
+    the per-record feature path (every online snapshot, and the oracle
+    of the columnar engine), where NumPy's per-call overhead on short
+    series outweighs the arithmetic.  Unknown statistics and
+    percentiles outside [0, 100] raise ``ValueError``.
     """
     arr = _as_float_array(values)
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         return {stat: 0.0 for stat in stats}
-    percentile_stats = [s for s in stats if s.startswith("p")]
-    fused: Dict[str, float] = {}
-    if percentile_stats:
-        points = np.percentile(arr, [float(s[1:]) for s in percentile_stats])
-        fused = dict(zip(percentile_stats, points))
-    return {
-        stat: float(fused[stat]) if stat in fused else _single_stat(arr, stat)
-        for stat in stats
-    }
+    ordered: List[float] = []
+    out: Dict[str, float] = {}
+    for stat in stats:
+        if stat == "mean":
+            out[stat] = float(np.mean(arr))
+            continue
+        if stat == "std":
+            out[stat] = float(np.std(arr))
+            continue
+        if not ordered:
+            ordered = np.sort(arr).tolist()
+        if stat == "min":
+            out[stat] = ordered[0]
+        elif stat == "max":
+            out[stat] = ordered[-1]
+        elif stat.startswith("p"):
+            out[stat] = _percentile(ordered, float(stat[1:]))
+        else:
+            raise ValueError(f"unknown statistic: {stat!r}")
+    return out
 
 
 def pooled_moments(

@@ -199,6 +199,15 @@ class TestPhaseSpans:
         assert materialize.count == 1
         assert materialize.counters == {"sessions": n}
 
+    @pytest.mark.parametrize("name", ["cleartext", "encrypted"])
+    def test_preparation_span_counts_sessions(self, tracer, name):
+        """§3.3 preparation (grouping or the device join) is one span."""
+        corpus = generate_corpus(CONFIGS[name])
+        span = _span(tracer, "datasets.preparation")
+        assert span.count == 1
+        assert span.counters == {"sessions": len(corpus.records)}
+        assert len(corpus.records) > 0
+
     def test_round_counters_match_the_oracles_rounds(self, tracer, monkeypatch):
         """Counted per connection in the oracle (one ``next_round`` per
         TCP round): the scalar tail runs every round of every lane, and

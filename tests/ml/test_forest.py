@@ -328,3 +328,109 @@ class TestFlatWalk:
         assert not errors
         assert len(results) == 40
         assert all(np.array_equal(r, want) for r in results)
+
+
+# ----------------------------------------------------------------------
+# One-row walk vs the batch walk
+# ----------------------------------------------------------------------
+
+
+def _nonfinite_queries(n_rows, n_features, seed):
+    """Normal rows with NaN, +inf and -inf features sprinkled in."""
+    rng = np.random.default_rng(seed)
+    Q = rng.normal(scale=2.0, size=(n_rows, n_features))
+    for value, share in ((np.nan, 0.08), (np.inf, 0.04), (-np.inf, 0.04)):
+        Q[rng.random(Q.shape) < share] = value
+    Q[0, :] = np.nan
+    return Q
+
+
+def _assert_rows_match_batch(forest, Q):
+    batch = forest.predict_proba(Q)
+    for i in range(Q.shape[0]):
+        row = forest.predict_proba(Q[i:i + 1])
+        assert row.shape == (1, forest.classes_.size)
+        assert row.tobytes() == batch[i:i + 1].tobytes(), i
+
+
+class TestOneRowWalk:
+    """A one-row call walks the trees in Python, the same bits as a batch."""
+
+    def test_nan_and_infinite_features(self):
+        X, y = _rare_class_dataset(seed=20)
+        forest = RandomForestClassifier(n_estimators=20, random_state=1).fit(
+            X, y
+        )
+        _assert_rows_match_batch(forest, _nonfinite_queries(300, 5, seed=21))
+
+    def test_non_dyadic_votes(self):
+        """Mixed leaves: a different summation order would show in bits."""
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(400, 5))
+        y = rng.integers(0, 3, size=400)
+        forest = RandomForestClassifier(
+            n_estimators=20, min_samples_leaf=7, random_state=4
+        ).fit(X, y)
+        _assert_rows_match_batch(forest, _nonfinite_queries(300, 5, seed=23))
+
+    def test_bootstrap_trees_missing_a_class(self):
+        X, y = _rare_class_dataset(seed=4, n_rare=1)
+        forest = RandomForestClassifier(n_estimators=20, random_state=3).fit(
+            X, y
+        )
+        assert any(t.classes_.size < 3 for t in forest.estimators_)
+        _assert_rows_match_batch(forest, _nonfinite_queries(200, 5, seed=24))
+
+    def test_framework_round_trip(self, stall_records, adaptive_records):
+        from repro import QoEFramework
+        from repro.persistence import framework_from_dict, framework_to_dict
+
+        framework = QoEFramework(random_state=0, n_estimators=12).fit(
+            stall_records, adaptive_records
+        )
+        clone = framework_from_dict(framework_to_dict(framework))
+        for name in ("stall", "representation"):
+            forest = getattr(clone, name)._model
+            Q = _nonfinite_queries(100, forest.n_features_, seed=25)
+            _assert_rows_match_batch(forest, Q)
+            original = getattr(framework, name)._model
+            assert original.predict_proba(Q[:1]).tobytes() == (
+                forest.predict_proba(Q[:1]).tobytes()
+            )
+
+    def test_pickled_forest_rebuilds_the_walk(self):
+        import pickle
+
+        X, y = _rare_class_dataset(seed=26)
+        forest = RandomForestClassifier(n_estimators=20, random_state=8).fit(
+            X, y
+        )
+        Q = _nonfinite_queries(100, 5, seed=27)
+        want = forest.predict_proba(Q)
+        clone = pickle.loads(pickle.dumps(forest))
+        assert "_flat_walk" not in vars(clone)
+        # A one-row call is the first: it builds the clone's walk.
+        assert clone.predict_proba(Q[5:6]).tobytes() == want[5:6].tobytes()
+        _assert_rows_match_batch(clone, Q)
+
+    def test_one_span_and_one_counted_row_per_call(self):
+        from repro.obs import get_registry
+        from repro.obs.tracing import Tracer, set_tracer
+
+        X, y = _rare_class_dataset(seed=28)
+        forest = RandomForestClassifier(n_estimators=9, random_state=9).fit(
+            X, y
+        )
+        counter = get_registry().counter("repro_ml_forest_predictions_total")
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            before = counter.value
+            forest.predict_proba(_queries(1))
+            counted = counter.value - before
+        finally:
+            set_tracer(previous)
+        (span,) = [s for s in tracer.roots() if s.name == "ml.forest_predict"]
+        assert span.count == 1
+        assert span.counters == {"rows": 1}
+        assert counted == 1

@@ -278,3 +278,63 @@ class TestFeedValidation:
         from repro.capture.weblog import MalformedRecordError
 
         assert issubclass(MalformedRecordError, ValueError)
+
+
+class TestSubscriberIdsWithSlash:
+    """A subscriber id may contain ``/``: its sessions are still its own.
+
+    The tracker names sessions ``{subscriber}/online-{n}``; splitting
+    that id at the first ``/`` folded ``isp-7/alice`` and ``isp-7/bob``
+    into one health record and one alarm state.
+    """
+
+    SUBSCRIBERS = ("isp-7/alice", "isp-7/bob")
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        from repro.serving.replay import synthetic_trace
+
+        entries = synthetic_trace(30, seed=1, subscribers=2)
+        names = {"sub-0000": self.SUBSCRIBERS[0], "sub-0001": self.SUBSCRIBERS[1]}
+        for entry in entries:
+            entry.subscriber_id = names[entry.subscriber_id]
+        return entries
+
+    def test_session_id_round_trip(self):
+        from repro.datasets.preparation import online_session_id, subscriber_of
+
+        for subscriber in ("sub-x", "isp-7/alice", "a/online-b", "/"):
+            assert subscriber_of(online_session_id(subscriber, 12)) == subscriber
+
+    def test_monitor_keeps_one_health_record_each(self, framework, trace):
+        monitor = RealTimeMonitor(framework, severe_alarm_after=1)
+        monitor.framework.stall.predict = lambda records: np.array(
+            ["severe stalls"] * len(records)
+        )
+        try:
+            monitor.feed_many(trace)
+            monitor.flush()
+        finally:
+            del monitor.framework.stall.predict
+        assert set(monitor.health) == set(self.SUBSCRIBERS)
+        assert sum(h.sessions for h in monitor.health.values()) == len(
+            monitor.diagnoses
+        )
+        # Each subscriber raises its own severe alarm.
+        assert sorted(a.subscriber_id for a in monitor.alarms) == sorted(
+            self.SUBSCRIBERS
+        )
+
+    def test_thread_shard_service_health(self, framework, trace):
+        from repro.serving.service import QoEService
+
+        service = QoEService(framework, n_shards=2, shard_backend="thread")
+        service.start()
+        try:
+            service.submit_many(trace)
+            diagnoses = service.drain()
+        finally:
+            service.stop()
+        health = service.health_by_subscriber
+        assert set(health) == set(self.SUBSCRIBERS)
+        assert sum(h.sessions for h in health.values()) == len(diagnoses)

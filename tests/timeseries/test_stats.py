@@ -58,6 +58,130 @@ class TestSummaryStatistics:
         assert stats["min"] <= stats["p5"] <= stats["p50"] <= stats["p95"] <= stats["max"]
 
 
+def _numpy_statistics(finite, stats):
+    """The oracle: each statistic as NumPy computes it on its own."""
+    out = []
+    for stat in stats:
+        if stat == "min":
+            out.append(np.min(finite))
+        elif stat == "max":
+            out.append(np.max(finite))
+        elif stat == "mean":
+            out.append(np.mean(finite))
+        elif stat == "std":
+            out.append(np.std(finite))
+        else:
+            out.append(np.percentile(finite, float(stat[1:])))
+    return np.array(out, dtype=np.float64)
+
+
+def _series(rng, n, kind):
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-3, 7)
+    if kind == "ties":
+        values = rng.integers(0, 4, size=n).astype(float)
+    elif kind == "constant":
+        values[:] = values[0]
+    elif kind == "integers":
+        # ``+ 0.0`` turns the -0.0 that rounding leaves into 0.0: which
+        # signed zero a percentile returns is pinned only by value
+        # (test_signed_zeros_equal_in_value).
+        values = np.round(values) + 0.0
+    elif kind == "huge":
+        values = rng.normal(size=n) * 1e300
+    elif kind == "tiny":
+        values = rng.normal(size=n) * 1e-300
+    return values
+
+
+def _dirty(rng, values):
+    """``values`` with NaN/+inf/-inf mixed in at random places."""
+    n_bad = int(rng.integers(1, 6))
+    bad = rng.choice([np.nan, np.inf, -np.inf], size=n_bad)
+    return rng.permutation(np.concatenate((values, bad)))
+
+
+def _percentile_subsets():
+    """Every percentile subset of the basic set, and a spread of the
+    extended set's (all singletons, pairs and the full set)."""
+    basic = [s for s in SUMMARY_STATS_BASIC if s.startswith("p")]
+    extended = [s for s in SUMMARY_STATS_EXTENDED if s.startswith("p")]
+    subsets = [
+        [p for k, p in enumerate(basic) if mask >> k & 1]
+        for mask in range(1, 2 ** len(basic))
+    ]
+    subsets += [[p] for p in extended]
+    subsets += [[a, b] for i, a in enumerate(extended) for b in extended[i + 1:]]
+    subsets.append(extended)
+    return subsets
+
+
+class TestSummaryStatisticsAgainstNumpy:
+    """The per-record path equals NumPy's own calls byte for byte.
+
+    Order statistics come from one sort and a scalar replica of
+    ``np.percentile``; this anchors that replica in NumPy itself, not
+    only in the columnar engine it is the oracle of.
+    """
+
+    @staticmethod
+    def _check(values, stats):
+        finite = values[np.isfinite(values)]
+        # Huge values square past the float range: std is inf on both
+        # sides, which is part of what is compared.
+        with np.errstate(over="ignore"):
+            got = summary_statistics(values, stats)
+            want = _numpy_statistics(finite, stats)
+        assert list(got) == list(stats)
+        assert np.array([got[s] for s in stats]).tobytes() == want.tobytes(), (
+            stats, finite.size
+        )
+
+    @pytest.mark.parametrize(
+        "kind", ["normal", "ties", "constant", "integers", "huge", "tiny"]
+    )
+    @pytest.mark.parametrize(
+        "stats", [SUMMARY_STATS_BASIC, SUMMARY_STATS_EXTENDED], ids=len
+    )
+    def test_byte_equal_to_numpy(self, kind, stats):
+        rng = np.random.default_rng([len(stats), len(kind)])
+        lengths = np.concatenate(([1, 2, 300], rng.integers(1, 301, size=57)))
+        for i, n in enumerate(lengths):
+            values = _series(rng, int(n), kind)
+            if i % 2:
+                values = _dirty(rng, values)
+            self._check(values, stats)
+
+    def test_every_length_from_one_to_three_hundred(self):
+        rng = np.random.default_rng(13)
+        for n in range(1, 301):
+            values = rng.exponential(size=n)
+            self._check(values, SUMMARY_STATS_EXTENDED)
+            self._check(_dirty(rng, values), SUMMARY_STATS_BASIC)
+
+    @pytest.mark.parametrize("subset", _percentile_subsets(), ids=str)
+    def test_every_percentile_subset(self, subset):
+        rng = np.random.default_rng(len(subset))
+        for n in (1, 2, 3, 7, 40):
+            values = _series(rng, n, "ties")
+            self._check(values, subset)
+            self._check(_dirty(rng, values), ["max", *subset, "min"])
+
+    def test_signed_zeros_equal_in_value(self):
+        # Among equal values a sort and NumPy's partition may place
+        # 0.0 and -0.0 differently, so only the value is pinned here.
+        rng = np.random.default_rng(3)
+        for n in range(1, 60):
+            values = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)
+            got = summary_statistics(values, SUMMARY_STATS_EXTENDED)
+            want = _numpy_statistics(values, SUMMARY_STATS_EXTENDED)
+            assert [got[s] for s in SUMMARY_STATS_EXTENDED] == want.tolist()
+
+    @pytest.mark.parametrize("stat", ["p-5", "p101", "pnan", "median", "q50"])
+    def test_invalid_statistic_raises(self, stat):
+        with pytest.raises(ValueError):
+            summary_statistics([1.0, 2.0, 3.0], stats=("min", stat))
+
+
 class TestEcdf:
     def test_monotone_increasing(self):
         e = ecdf([3.0, 1.0, 2.0, 5.0])
