@@ -1,10 +1,8 @@
-"""Measurement substrate: weblog schema, proxy capture, URI ground
-truth, encrypted views, device instrumentation and encrypted-session
-reconstruction."""
+"""Measurement substrate: weblog schema, proxy capture (cleartext and
+encrypted views), URI ground truth, device instrumentation and
+encrypted-session reconstruction."""
 
-from .anonymize import KEPT_URI_PARAMS, Anonymizer
 from .device import DeviceLogger, PlaybackSummary, SegmentRecord
-from .encryption import encrypt_view
 from .proxy import WebProxy, server_ip_for
 from .reconstruction import (
     ReconstructedSession,
@@ -27,11 +25,8 @@ from .weblog import MalformedRecordError, WeblogEntry
 __all__ = [
     "MalformedRecordError",
     "WeblogEntry",
-    "Anonymizer",
-    "KEPT_URI_PARAMS",
     "WebProxy",
     "server_ip_for",
-    "encrypt_view",
     "DeviceLogger",
     "PlaybackSummary",
     "SegmentRecord",

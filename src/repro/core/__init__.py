@@ -23,18 +23,14 @@ from .features import (
 )
 from .framework import QoEFramework, SessionDiagnosis
 from .mos import BASE_QUALITY_MOS, MosBreakdown, mos_from_diagnosis, mos_from_ground_truth
-from .startup import StartupEstimate, estimate_startup_delay
 from .labeling import (
     REPRESENTATION_LABELS,
     SEVERE_RR_THRESHOLD,
     STALL_LABELS,
-    VARIATION_LABELS,
     has_variation,
     label_records,
     representation_label,
     stall_label,
-    variation_label,
-    variation_score,
 )
 from .representation import AvgRepresentationDetector
 from .stall import StallDetector
@@ -58,13 +54,10 @@ __all__ = [
     "REPRESENTATION_METRICS",
     "stall_label",
     "representation_label",
-    "variation_label",
-    "variation_score",
     "has_variation",
     "label_records",
     "STALL_LABELS",
     "REPRESENTATION_LABELS",
-    "VARIATION_LABELS",
     "SEVERE_RR_THRESHOLD",
     "balanced_train_full_test",
     "evaluate_model",
@@ -72,6 +65,4 @@ __all__ = [
     "mos_from_ground_truth",
     "mos_from_diagnosis",
     "BASE_QUALITY_MOS",
-    "StartupEstimate",
-    "estimate_startup_delay",
 ]

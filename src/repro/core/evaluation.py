@@ -28,23 +28,19 @@ def balanced_train_full_test(
     y: np.ndarray,
     labels: Optional[Sequence] = None,
     random_state=None,
-    strategy: str = "over",
 ) -> Tuple[object, ClassificationReport]:
     """Balance classes, train, then test on the full unbalanced set.
 
-    ``strategy`` picks the balancing direction: ``"over"`` (default)
-    replicates minority instances up to the majority size, keeping every
-    majority-class session in training — important because rare
-    sub-populations (e.g. the 3% adaptive sessions) would otherwise be
-    nearly absent from an undersampled training set; ``"under"``
-    downsamples the majority instead.
+    Balancing oversamples (:func:`repro.ml.balance.balanced_indices`):
+    minority instances are replicated up to the majority size, so every
+    majority-class session stays in training.
 
     Returns the fitted model and the paper-format report.  ``labels``
     fixes the class order of the report's rows/matrix.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    idx = balanced_indices(y, strategy=strategy, random_state=random_state)
+    idx = balanced_indices(y, random_state=random_state)
     model = model_factory()
     model.fit(X[idx], y[idx])
     predictions = model.predict(X)

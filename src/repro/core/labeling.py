@@ -12,15 +12,12 @@
 
       HD: µ > 480    SD: 360 <= µ <= 480    LD: µ < 360
 
-* Representation variation — switch frequency F and amplitude A
-  (eq. 2) combined linearly into Var, binned into
-  no / mild / high variation.  The binary with/without-switches view
-  used by Figure 4 and §5.6 is also provided.
+* Representation variation — the binary with/without-switches view
+  used by Figure 4 and §5.6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,19 +27,15 @@ from repro.datasets.schema import SessionRecord
 __all__ = [
     "STALL_LABELS",
     "REPRESENTATION_LABELS",
-    "VARIATION_LABELS",
     "SEVERE_RR_THRESHOLD",
     "stall_label",
     "representation_label",
-    "variation_score",
-    "variation_label",
     "has_variation",
     "label_records",
 ]
 
 STALL_LABELS = ("no stalls", "mild stalls", "severe stalls")
 REPRESENTATION_LABELS = ("LD", "SD", "HD")
-VARIATION_LABELS = ("no variation", "mild variation", "high variation")
 
 #: RR above this is severe stalling (viewers abandon, Krishnan et al.).
 SEVERE_RR_THRESHOLD = 0.1
@@ -66,43 +59,6 @@ def representation_label(record: SessionRecord) -> str:
     if mu >= 360.0:
         return "SD"
     return "LD"
-
-
-@dataclass(frozen=True)
-class VariationWeights:
-    """Linear-combination weights for Var = w_f * F + w_a * A.
-
-    Defaults weigh one switch like 50 lines of mean amplitude, so a
-    session with a single small switch and one with large but rare
-    amplitude land in comparable Var ranges.
-    """
-
-    frequency: float = 1.0
-    amplitude: float = 0.02
-
-
-def variation_score(
-    record: SessionRecord, weights: VariationWeights = VariationWeights()
-) -> float:
-    """Var — the combined switching indicator of §4.3."""
-    return (
-        weights.frequency * record.switch_count()
-        + weights.amplitude * record.switch_amplitude()
-    )
-
-
-def variation_label(
-    record: SessionRecord,
-    mild_threshold: float = 3.0,
-    weights: VariationWeights = VariationWeights(),
-) -> str:
-    """no / mild / high variation class of a session."""
-    score = variation_score(record, weights)
-    if score <= 0.0:
-        return "no variation"
-    if score <= mild_threshold:
-        return "mild variation"
-    return "high variation"
 
 
 def has_variation(record: SessionRecord) -> bool:

@@ -8,7 +8,6 @@ from .generate import (
     generate_corpus,
     generate_encrypted_corpus,
 )
-from .io import read_records, read_weblogs, write_records, write_weblogs
 from .preparation import (
     group_cleartext_sessions,
     record_from_video_session,
@@ -29,8 +28,4 @@ __all__ = [
     "record_from_video_session",
     "records_from_reconstruction",
     "remove_proxy_artifacts",
-    "write_weblogs",
-    "read_weblogs",
-    "write_records",
-    "read_records",
 ]

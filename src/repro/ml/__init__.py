@@ -5,8 +5,8 @@ CFS subset selection with best-first search, stratified k-fold CV,
 class balancing and paper-format classification reports.
 """
 
-from .balance import balanced_indices, oversample, undersample
-from .crossval import cross_validate, stratified_kfold, train_test_split
+from .balance import balanced_indices, oversample
+from .crossval import cross_validate, stratified_kfold
 from .forest import RandomForestClassifier
 from .information import (
     conditional_entropy,
@@ -41,10 +41,8 @@ __all__ = [
     "ClassificationReport",
     "ClassReport",
     "stratified_kfold",
-    "train_test_split",
     "cross_validate",
     "balanced_indices",
-    "undersample",
     "oversample",
     "effective_n_jobs",
     "block_ranges",

@@ -4,9 +4,11 @@
 before training the classifier.  The instances in the classes are then
 restored to their original numbers for testing."
 
-Two strategies are provided: random undersampling to the minority-class
-size (default — it matches Weka's ``SpreadSubsample``) and random
-oversampling with replacement to the majority-class size.
+The protocol here is random oversampling with replacement to the
+majority-class size: every majority-class instance stays in training,
+which matters because rare sub-populations (e.g. the 3% adaptive
+sessions) would be nearly absent from a training set cut down to the
+minority-class size.
 """
 
 from __future__ import annotations
@@ -15,55 +17,33 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["undersample", "oversample", "balanced_indices"]
+__all__ = ["oversample", "balanced_indices"]
 
 
-def balanced_indices(
-    y: np.ndarray,
-    strategy: str = "under",
-    random_state=None,
-) -> np.ndarray:
-    """Indices selecting a class-balanced subset (or superset) of ``y``.
+def balanced_indices(y: np.ndarray, random_state=None) -> np.ndarray:
+    """Indices selecting a class-balanced superset of ``y``.
 
-    ``strategy="under"`` draws ``min(class sizes)`` samples per class
-    without replacement; ``strategy="over"`` draws ``max(class sizes)``
-    per class with replacement.  The returned indices are shuffled.
+    Every class gets ``max(class sizes)`` indices: a class of that size
+    is drawn without replacement (each member once, permuted), a smaller
+    one with replacement.  The returned indices are shuffled.
     """
     y = np.asarray(y)
     if y.size == 0:
         raise ValueError("cannot balance an empty label vector")
     rng = np.random.default_rng(random_state)
     classes, counts = np.unique(y, return_counts=True)
-    if strategy == "under":
-        target = int(counts.min())
-        replace = False
-    elif strategy == "over":
-        target = int(counts.max())
-        replace = True
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
+    target = int(counts.max())
     picks = []
     for c in classes:
         idx = np.nonzero(y == c)[0]
-        if replace and idx.size < target:
-            picks.append(rng.choice(idx, size=target, replace=True))
-        else:
-            picks.append(rng.choice(idx, size=target, replace=False))
+        picks.append(rng.choice(idx, size=target, replace=idx.size < target))
     out = np.concatenate(picks)
     return rng.permutation(out)
-
-
-def undersample(
-    X: np.ndarray, y: np.ndarray, random_state=None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Random undersampling of (X, y) to the minority-class size."""
-    idx = balanced_indices(y, strategy="under", random_state=random_state)
-    return np.asarray(X)[idx], np.asarray(y)[idx]
 
 
 def oversample(
     X: np.ndarray, y: np.ndarray, random_state=None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Random oversampling of (X, y) to the majority-class size."""
-    idx = balanced_indices(y, strategy="over", random_state=random_state)
+    idx = balanced_indices(y, random_state=random_state)
     return np.asarray(X)[idx], np.asarray(y)[idx]

@@ -1,4 +1,4 @@
-"""Cross-validation and train/test-split helpers.
+"""Stratified k-fold cross-validation.
 
 The paper uses 10-fold cross-validation during model development
 (§4) and a balanced-train / full-test protocol for the reported
@@ -18,11 +18,7 @@ from repro.obs import trace
 from .metrics import ClassificationReport, classification_report
 from .parallel import effective_n_jobs, run_tasks
 
-__all__ = [
-    "stratified_kfold",
-    "train_test_split",
-    "cross_validate",
-]
+__all__ = ["stratified_kfold", "cross_validate"]
 
 
 def stratified_kfold(
@@ -63,43 +59,6 @@ def _dealt_folds(y, n_splits, shuffle, random_state):
         test = all_idx[fold_of == fold]
         train = all_idx[fold_of != fold]
         yield train, test
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_size: float = 0.3,
-    stratify: bool = True,
-    random_state=None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split into (X_train, X_test, y_train, y_test).
-
-    With ``stratify`` the class proportions are preserved in both parts.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y have inconsistent lengths")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    rng = np.random.default_rng(random_state)
-    n = y.size
-    test_mask = np.zeros(n, dtype=bool)
-    if stratify:
-        _, y_enc = np.unique(y, return_inverse=True)
-        for c in np.unique(y_enc):
-            idx = rng.permutation(np.nonzero(y_enc == c)[0])
-            # Cap at size-1 so every class keeps >= 1 training sample; a
-            # singleton class goes entirely to training (n_test = 0)
-            # rather than vanishing from the training partition.
-            n_test = min(
-                max(1, int(round(test_size * idx.size))), idx.size - 1
-            )
-            test_mask[idx[:n_test]] = True
-    else:
-        idx = rng.permutation(n)
-        test_mask[idx[: max(1, int(round(test_size * n)))]] = True
-    return X[~test_mask], X[test_mask], y[~test_mask], y[test_mask]
 
 
 def _fit_predict_fold(payload):

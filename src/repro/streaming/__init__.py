@@ -1,13 +1,7 @@
 """Video streaming substrate: catalog/quality ladder, playout buffer,
-ABR algorithms and the adaptive + progressive player simulations."""
+the hybrid ABR and the adaptive + progressive player simulations."""
 
-from .abr import (
-    AbrAlgorithm,
-    BufferAbr,
-    HybridAbr,
-    ThroughputAbr,
-    ThroughputEstimator,
-)
+from .abr import HybridAbr, ThroughputEstimator
 from .adaptive import AdaptivePlayer, AdaptivePlayerConfig
 from .buffer import PlayoutBuffer, StallEvent
 from .events import PlaybackEvent, build_event_log
@@ -39,9 +33,6 @@ __all__ = [
     "ChunkDownload",
     "PlayoutBuffer",
     "StallEvent",
-    "AbrAlgorithm",
-    "ThroughputAbr",
-    "BufferAbr",
     "HybridAbr",
     "ThroughputEstimator",
     "AdaptivePlayer",

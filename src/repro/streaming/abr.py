@@ -1,46 +1,23 @@
-"""Adaptive bit-rate (ABR) algorithms.
+"""Adaptive bit-rate (ABR) selection.
 
 §2.1: "The quality profile of the next segment is determined as a
 function of the throughput with which the previous segment was
 downloaded and the available seconds of playback in the buffer."
 
-Three selectors are provided — throughput-based, buffer-based and the
-hybrid of both that the simulations use by default (it matches the
-quoted YouTube behaviour).  All share a tiny stateless interface so the
-ablation benches can swap them freely.
+:class:`HybridAbr` combines both signals, matching the quoted YouTube
+behaviour; :class:`ThroughputEstimator` supplies its throughput input.
+Both player engines (``streaming.adaptive`` and ``datasets.genx``) use
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import List, Optional, Sequence
 
+from .catalog import QualityLevel
 
-from .catalog import QualityLevel, Video
-
-__all__ = [
-    "AbrAlgorithm",
-    "ThroughputAbr",
-    "BufferAbr",
-    "HybridAbr",
-    "ThroughputEstimator",
-]
-
-
-class AbrAlgorithm(Protocol):
-    """Protocol every ABR selector implements."""
-
-    def select(
-        self,
-        ladder: Sequence[QualityLevel],
-        video: Video,
-        throughput_kbps: float,
-        buffer_s: float,
-        current: Optional[QualityLevel],
-        playback_started: bool = True,
-    ) -> QualityLevel:
-        """Pick the rung for the next segment."""
-        ...
+__all__ = ["HybridAbr", "ThroughputEstimator"]
 
 
 class ThroughputEstimator:
@@ -72,50 +49,6 @@ class ThroughputEstimator:
 
 def _sorted_ladder(ladder: Sequence[QualityLevel]) -> List[QualityLevel]:
     return sorted(ladder, key=lambda level: level.bitrate_kbps)
-
-
-@dataclass
-class ThroughputAbr:
-    """Highest rung whose bitrate fits under ``safety * throughput``."""
-
-    safety: float = 0.8
-
-    def select(
-        self, ladder, video, throughput_kbps, buffer_s, current,
-        playback_started=True,
-    ):
-        rungs = _sorted_ladder(ladder)
-        budget = self.safety * throughput_kbps
-        choice = rungs[0]
-        for level in rungs:
-            if video.bitrate_kbps(level) <= budget:
-                choice = level
-        return choice
-
-
-@dataclass
-class BufferAbr:
-    """BBA-style linear mapping from buffer occupancy to the ladder.
-
-    Below ``reservoir_s`` the lowest rung is used; above ``cushion_s``
-    the highest; in between the rung index scales linearly.
-    """
-
-    reservoir_s: float = 5.0
-    cushion_s: float = 25.0
-
-    def select(
-        self, ladder, video, throughput_kbps, buffer_s, current,
-        playback_started=True,
-    ):
-        rungs = _sorted_ladder(ladder)
-        if buffer_s <= self.reservoir_s:
-            return rungs[0]
-        if buffer_s >= self.cushion_s:
-            return rungs[-1]
-        frac = (buffer_s - self.reservoir_s) / (self.cushion_s - self.reservoir_s)
-        idx = int(frac * (len(rungs) - 1))
-        return rungs[idx]
 
 
 @dataclass

@@ -10,7 +10,7 @@ paper's detectors exploit:
   in the representation of the video, a new start-up phase is
   initiated"), which is exactly what makes Δsize × Δt informative;
 * ON-OFF pacing in steady state once the buffer is full;
-* ABR-driven quality switches (hybrid throughput+buffer by default);
+* ABR-driven quality switches (the hybrid throughput+buffer rule);
 * abandonment when stalls exhaust the viewer's patience (Krishnan &
   Sitaraman's RR>0.1 viewers are the ones who leave).
 """
@@ -25,7 +25,7 @@ import numpy as np
 from repro.network.path import NetworkPath
 from repro.network.tcp import TcpConnection
 
-from .abr import AbrAlgorithm, HybridAbr, ThroughputEstimator
+from .abr import HybridAbr, ThroughputEstimator
 from .buffer import PlayoutBuffer
 from .catalog import AUDIO_LEVEL, DASH_LADDER, QualityLevel, Video
 from .segments import ChunkDownload
@@ -74,13 +74,9 @@ class AdaptivePlayerConfig:
 class AdaptivePlayer:
     """Simulates one DASH playback over a :class:`NetworkPath`."""
 
-    def __init__(
-        self,
-        config: Optional[AdaptivePlayerConfig] = None,
-        abr: Optional[AbrAlgorithm] = None,
-    ) -> None:
+    def __init__(self, config: Optional[AdaptivePlayerConfig] = None) -> None:
         self.config = config or AdaptivePlayerConfig()
-        self.abr = abr if abr is not None else HybridAbr()
+        self.abr = HybridAbr()
 
     def play(
         self,

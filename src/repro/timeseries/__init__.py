@@ -1,13 +1,7 @@
 """Time-series substrate: CUSUM change detection, summary statistics,
 ECDFs and the paper's Δsize × Δt switch signal."""
 
-from .cusum import (
-    CusumResult,
-    cusum_score,
-    cusum_scores,
-    cusum_series,
-    detect_changes,
-)
+from .cusum import CusumResult, cusum_score, cusum_scores, cusum_series
 from .detection import (
     DEFAULT_STARTUP_SKIP_S,
     delta_series,
@@ -29,7 +23,6 @@ __all__ = [
     "cusum_series",
     "cusum_score",
     "cusum_scores",
-    "detect_changes",
     "delta_series",
     "product_series",
     "switch_score",

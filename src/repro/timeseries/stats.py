@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -86,6 +87,21 @@ def _percentile(ordered: List[float], q: float) -> float:
     return a + span * weight
 
 
+@lru_cache(maxsize=64)
+def _check_stats(stats: Tuple[str, ...]) -> None:
+    """Raise the ``ValueError`` a non-empty series would raise for ``stats``.
+
+    Cached per ``stats`` tuple (a process sees a handful of feature
+    specs), so the empty-series path checks each spec once.
+    """
+    for stat in stats:
+        if stat in ("min", "max", "mean", "std"):
+            continue
+        if not stat.startswith("p"):
+            raise ValueError(f"unknown statistic: {stat!r}")
+        _percentile([0.0], float(stat[1:]))
+
+
 def _as_float_array(values: Sequence[float]) -> np.ndarray:
     """``values`` as a float64 ndarray without a Python-list detour.
 
@@ -121,11 +137,13 @@ def summary_statistics(
     the per-record feature path (every online snapshot, and the oracle
     of the columnar engine), where NumPy's per-call overhead on short
     series outweighs the arithmetic.  Unknown statistics and
-    percentiles outside [0, 100] raise ``ValueError``.
+    percentiles outside [0, 100] raise ``ValueError``, on an empty
+    series too.
     """
     arr = _as_float_array(values)
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
+        _check_stats(tuple(stats))
         return {stat: 0.0 for stat in stats}
     ordered: List[float] = []
     out: Dict[str, float] = {}

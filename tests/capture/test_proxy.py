@@ -1,9 +1,10 @@
 """Unit tests for proxy capture, weblog schema and encrypted views."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.capture.encryption import encrypt_view
 from repro.capture.proxy import WebProxy, server_ip_for
 from repro.capture.uri import parse_uri, ParsedSegment, ParsedStatsReport
 from repro.capture.weblog import WeblogEntry
@@ -119,26 +120,54 @@ class TestProxyObserve:
             WebProxy(np.random.default_rng(0), cache_mark_rate=1.5)
 
 
-class TestEncryptView:
-    def test_strips_uri_and_marks_encrypted(self, one_adaptive_session):
+class TestEncryptedView:
+    """``observe(encrypted=True)`` against a cleartext ``observe`` of the
+    same session at the same proxy seed."""
+
+    def test_same_entries_but_uri_flag_and_port(self, one_adaptive_session):
         cleartext = _observe(one_adaptive_session)
-        encrypted = encrypt_view(cleartext)
+        encrypted = _observe(one_adaptive_session, encrypted=True)
+        assert len(encrypted) == len(cleartext)
+        # Sizes, timing and the SNI stay visible; only the URI goes.
+        for c, e in zip(cleartext, encrypted):
+            assert e == dataclasses.replace(
+                c, uri=None, encrypted=True, server_port=443
+            )
+
+    def test_cleartext_keeps_uris(self, one_adaptive_session):
+        cleartext = _observe(one_adaptive_session)
+        assert cleartext
+        assert all(e.uri for e in cleartext)
+        assert not any(e.encrypted for e in cleartext)
+
+    def test_session_untouched_by_encrypted_observe(self, one_adaptive_session):
+        """Observing encrypted neither alters the session nor a later
+        cleartext observation of it."""
+        before = _observe(one_adaptive_session)
+        sizes = [c.size_bytes for c in one_adaptive_session.chunks]
+        _observe(one_adaptive_session, encrypted=True)
+        assert [c.size_bytes for c in one_adaptive_session.chunks] == sizes
+        assert _observe(one_adaptive_session) == before
+
+    def test_encrypted_entries_keep_subscriber_and_transport(
+        self, one_adaptive_session
+    ):
+        cleartext = _observe(one_adaptive_session)
+        encrypted = _observe(one_adaptive_session, encrypted=True)
+        assert {e.subscriber_id for e in encrypted} == {"sub-1"}
+        for c, e in zip(cleartext, encrypted):
+            assert (e.rtt_avg_ms, e.bdp_bytes, e.transaction_s) == (
+                c.rtt_avg_ms, c.bdp_bytes, c.transaction_s
+            )
+
+    def test_progressive_session_encrypted_view(self, one_progressive_session):
+        cleartext = _observe(one_progressive_session)
+        encrypted = _observe(one_progressive_session, encrypted=True)
         assert len(encrypted) == len(cleartext)
         assert all(e.uri is None and e.encrypted for e in encrypted)
-
-    def test_preserves_sizes_and_timing(self, one_adaptive_session):
-        cleartext = _observe(one_adaptive_session)
-        encrypted = encrypt_view(cleartext)
-        for c, e in zip(cleartext, encrypted):
-            assert e.object_bytes == c.object_bytes
-            assert e.timestamp_s == c.timestamp_s
-            assert e.server_name == c.server_name   # SNI stays visible
-
-    def test_originals_untouched(self, one_adaptive_session):
-        cleartext = _observe(one_adaptive_session)
-        had_uris = sum(1 for e in cleartext if e.uri)
-        encrypt_view(cleartext)
-        assert sum(1 for e in cleartext if e.uri) == had_uris
+        assert [e.object_bytes for e in encrypted] == [
+            c.object_bytes for c in cleartext
+        ]
 
 
 class TestServerIp:

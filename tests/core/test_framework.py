@@ -104,7 +104,6 @@ class TestEvaluationProtocol:
             X,
             y,
             random_state=0,
-            strategy="over",
         )
         majority = max(np.unique(y, return_counts=True)[1])
         assert captured["n"] == 2 * majority

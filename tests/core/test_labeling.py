@@ -11,8 +11,6 @@ from repro.core.labeling import (
     label_records,
     representation_label,
     stall_label,
-    variation_label,
-    variation_score,
 )
 from repro.datasets.schema import SessionRecord
 
@@ -89,27 +87,36 @@ class TestRepresentationLabel:
         assert REPRESENTATION_LABELS == ("LD", "SD", "HD")
 
 
-class TestVariation:
-    def test_no_switches_scores_zero(self):
+class TestHasVariation:
+    def test_no_switches(self):
         record = _record(resolutions=np.array([360, 360, 360]))
-        assert variation_score(record) == 0.0
-        assert variation_label(record) == "no variation"
         assert not has_variation(record)
 
-    def test_one_small_switch_is_mild(self):
+    def test_one_switch(self):
         record = _record(resolutions=np.array([240, 360, 360]))
-        assert variation_label(record) == "mild variation"
+        assert has_variation(record)
 
-    def test_many_switches_are_high(self):
-        record = _record(
-            resolutions=np.array([144, 480, 144, 480, 144, 480, 144])
-        )
-        assert variation_label(record) == "high variation"
+    def test_many_switches(self):
+        record = _record(resolutions=np.array([240, 480, 240, 720, 360]))
+        assert has_variation(record)
 
-    def test_score_monotone_in_frequency(self):
-        few = _record(resolutions=np.array([240, 360, 360, 360]))
-        many = _record(resolutions=np.array([240, 360, 240, 360]))
-        assert variation_score(many) > variation_score(few)
+    def test_switch_back_to_start_still_counts(self):
+        record = _record(resolutions=np.array([360, 480, 360]))
+        assert has_variation(record)
+
+    def test_single_chunk_has_no_variation(self):
+        assert not has_variation(_record(resolutions=np.array([720])))
+
+    def test_missing_ground_truth_raises(self):
+        with pytest.raises(ValueError):
+            has_variation(_record())
+
+    def test_vectorised_over_records(self):
+        records = [
+            _record(resolutions=np.array([360, 360])),
+            _record(resolutions=np.array([360, 720])),
+        ]
+        assert label_records(records, has_variation).tolist() == [False, True]
 
 
 class TestLabelRecords:

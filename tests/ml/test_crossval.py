@@ -1,13 +1,9 @@
-"""Unit tests for stratified k-fold CV and splitting."""
+"""Unit tests for stratified k-fold CV."""
 
 import numpy as np
 import pytest
 
-from repro.ml.crossval import (
-    cross_validate,
-    stratified_kfold,
-    train_test_split,
-)
+from repro.ml.crossval import cross_validate, stratified_kfold
 from repro.ml.forest import RandomForestClassifier
 
 
@@ -41,48 +37,33 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             list(stratified_kfold(np.zeros(10), n_splits=1))
 
+    def test_class_shares_differ_by_at_most_one(self):
+        y = np.array([0] * 23 + [1] * 11 + [2] * 7)
+        for c in (0, 1, 2):
+            per_fold = [
+                int(np.count_nonzero(y[test] == c))
+                for _, test in stratified_kfold(y, n_splits=5, random_state=3)
+            ]
+            assert max(per_fold) - min(per_fold) <= 1
+            assert sum(per_fold) == np.count_nonzero(y == c)
 
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(50, 2).astype(float)
-        y = np.array([0, 1] * 25)
-        X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.2, random_state=0)
-        assert len(y_te) == 10
-        assert len(y_tr) == 40
+    def test_unshuffled_deal_is_round_robin(self):
+        y = np.array([0] * 6 + [1] * 4)
+        folds = [test.tolist() for _, test in stratified_kfold(
+            y, n_splits=2, shuffle=False
+        )]
+        assert folds == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
 
-    def test_stratified_keeps_both_classes(self):
-        X = np.zeros((60, 1))
-        y = np.array([0] * 50 + [1] * 10)
-        _, __, ___, y_te = train_test_split(X, y, test_size=0.3, random_state=0)
-        assert set(y_te) == {0, 1}
+    def test_same_seed_same_folds(self):
+        y = np.array([0] * 20 + [1] * 10)
+        a = [t.tolist() for _, t in stratified_kfold(y, 5, random_state=8)]
+        b = [t.tolist() for _, t in stratified_kfold(y, 5, random_state=8)]
+        assert a == b
 
-    def test_singleton_class_stays_in_training(self):
-        """A class with one sample must not be swallowed whole by the
-        test split — training would then never see that class."""
-        X = np.zeros((21, 1))
-        y = np.array([0] * 20 + [1])
-        _, __, y_tr, y_te = train_test_split(X, y, test_size=0.3, random_state=0)
-        assert 1 in y_tr
-        assert 1 not in y_te
-
-    def test_every_class_keeps_a_training_sample(self):
-        X = np.zeros((12, 1))
-        y = np.array([0] * 8 + [1] * 2 + [2] * 2)
-        for seed in range(5):
-            _, __, y_tr, ___ = train_test_split(
-                X, y, test_size=0.5, random_state=seed
-            )
-            assert set(y_tr) == {0, 1, 2}
-
-    def test_invalid_test_size(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1)), np.zeros(5), test_size=1.5)
-
-    def test_no_overlap(self):
-        X = np.arange(40).reshape(40, 1).astype(float)
-        y = np.array([0, 1] * 20)
-        X_tr, X_te, _, __ = train_test_split(X, y, test_size=0.25, random_state=1)
-        assert not set(X_tr[:, 0]) & set(X_te[:, 0])
+    def test_train_is_complement_of_test(self):
+        y = np.array(["a"] * 9 + ["b"] * 6)
+        for train, test in stratified_kfold(y, n_splits=3, random_state=0):
+            assert sorted(train.tolist() + test.tolist()) == list(range(15))
 
 
 class TestCrossValidate:

@@ -30,6 +30,16 @@ def _stream(sessions, seed=0, subscriber="sub-x", gap=200.0):
     return entries
 
 
+def _force_stall_class(monkeypatch, monitor, label):
+    """Make the stall model predict ``label`` for every record, for the
+    calling test only (the ``framework`` fixture is module-scoped)."""
+    monkeypatch.setattr(
+        monitor.framework.stall,
+        "predict",
+        lambda records: np.array([label] * len(records)),
+    )
+
+
 class TestRealTimeMonitor:
     def test_invalid_parameters(self, framework):
         with pytest.raises(ValueError):
@@ -62,28 +72,27 @@ class TestRealTimeMonitor:
         monitor.flush()
         assert len(seen) == 1
 
-    def test_severe_alarm_fires_once(self, framework, one_adaptive_session):
+    def test_severe_alarm_fires_once(
+        self, framework, one_adaptive_session, monkeypatch
+    ):
         monitor = RealTimeMonitor(framework, severe_alarm_after=1)
-        # force every diagnosis severe by monkeypatching the stall model
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
         stream = _stream([one_adaptive_session, one_adaptive_session], seed=1)
         monitor.feed_many(stream)
         monitor.flush()
         assert len(monitor.alarms) == 1
         assert "severe" in monitor.alarms[0].reason
 
-    def test_stall_ratio_alarm(self, framework, one_adaptive_session):
+    def test_stall_ratio_alarm(
+        self, framework, one_adaptive_session, monkeypatch
+    ):
         monitor = RealTimeMonitor(
             framework,
             severe_alarm_after=10_000,
             stall_ratio_alarm=0.5,
             min_sessions_for_ratio=2,
         )
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["mild stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "mild stalls")
         stream = _stream([one_adaptive_session] * 3, seed=2)
         monitor.feed_many(stream)
         monitor.flush()
@@ -108,11 +117,11 @@ class TestDrain:
         assert len(monitor.diagnoses) == 2
         assert monitor.tracker.open_sessions == 0
 
-    def test_drain_runs_final_alarm_sweep(self, framework, one_adaptive_session):
+    def test_drain_runs_final_alarm_sweep(
+        self, framework, one_adaptive_session, monkeypatch
+    ):
         monitor = RealTimeMonitor(framework, severe_alarm_after=1)
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
         monitor.feed_many(_stream([one_adaptive_session], seed=6))
         assert monitor.alarms == []  # session still open, nothing diagnosed
         monitor.drain()
@@ -135,12 +144,10 @@ class TestDrain:
             monitor.feed(stream[0])
 
     def test_final_alarm_sweep_returns_only_new_alarms(
-        self, framework, one_adaptive_session
+        self, framework, one_adaptive_session, monkeypatch
     ):
         monitor = RealTimeMonitor(framework, severe_alarm_after=1)
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
         monitor.feed_many(_stream([one_adaptive_session] * 2, seed=9))
         monitor.flush()
         assert len(monitor.alarms) == 1  # raised during the stream
@@ -199,7 +206,7 @@ class TestCallbackIsolation:
         assert monitor.callback_errors == 2
 
     def test_raising_alarm_callback_is_isolated(
-        self, framework, one_adaptive_session
+        self, framework, one_adaptive_session, monkeypatch
     ):
         def explode(alarm):
             raise RuntimeError("alarm sink down")
@@ -207,9 +214,7 @@ class TestCallbackIsolation:
         monitor = RealTimeMonitor(
             framework, severe_alarm_after=1, on_alarm=explode
         )
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
         monitor.feed_many(_stream([one_adaptive_session], seed=3))
         monitor.flush()
         # The alarm itself was still recorded.
@@ -236,15 +241,13 @@ class TestCallbackIsolation:
         assert errors.labels(callback="diagnosis").value == before + 1
 
     def test_alarm_callback_invoked_on_alarm(
-        self, framework, one_adaptive_session
+        self, framework, one_adaptive_session, monkeypatch
     ):
         raised = []
         monitor = RealTimeMonitor(
             framework, severe_alarm_after=1, on_alarm=raised.append
         )
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
         monitor.feed_many(_stream([one_adaptive_session], seed=5))
         monitor.flush()
         assert len(raised) == 1
@@ -306,16 +309,13 @@ class TestSubscriberIdsWithSlash:
         for subscriber in ("sub-x", "isp-7/alice", "a/online-b", "/"):
             assert subscriber_of(online_session_id(subscriber, 12)) == subscriber
 
-    def test_monitor_keeps_one_health_record_each(self, framework, trace):
+    def test_monitor_keeps_one_health_record_each(
+        self, framework, trace, monkeypatch
+    ):
         monitor = RealTimeMonitor(framework, severe_alarm_after=1)
-        monitor.framework.stall.predict = lambda records: np.array(
-            ["severe stalls"] * len(records)
-        )
-        try:
-            monitor.feed_many(trace)
-            monitor.flush()
-        finally:
-            del monitor.framework.stall.predict
+        _force_stall_class(monkeypatch, monitor, "severe stalls")
+        monitor.feed_many(trace)
+        monitor.flush()
         assert set(monitor.health) == set(self.SUBSCRIBERS)
         assert sum(h.sessions for h in monitor.health.values()) == len(
             monitor.diagnoses

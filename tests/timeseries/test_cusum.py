@@ -8,7 +8,6 @@ from repro.timeseries.cusum import (
     cusum_score,
     cusum_scores,
     cusum_series,
-    detect_changes,
 )
 
 
@@ -34,19 +33,6 @@ class TestCusumSeries:
         result = cusum_series(series)
         assert result.low[-1] > 100
 
-    def test_drift_suppresses_small_wander(self):
-        rng = np.random.default_rng(0)
-        series = rng.normal(0, 0.1, 200)
-        with_drift = cusum_series(series, drift=1.0)
-        assert with_drift.combined.max() < cusum_series(series).combined.max() + 1e-9
-        assert np.allclose(with_drift.combined, 0.0)
-
-    def test_explicit_target(self):
-        series = np.full(20, 5.0)
-        result = cusum_series(series, target=0.0)
-        # every point is 5 above target -> high side ramps linearly
-        assert result.high[-1] == pytest.approx(100.0)
-
     def test_statistics_nonnegative(self):
         rng = np.random.default_rng(1)
         result = cusum_series(rng.normal(size=100))
@@ -58,35 +44,31 @@ class TestCusumSeries:
         result = cusum_series(rng.normal(size=50))
         np.testing.assert_allclose(result.combined, result.high + result.low)
 
-    def test_reset_on_detect(self):
-        series = np.concatenate([np.zeros(20), np.full(30, 10.0)])
-        result = cusum_series(series, reset_on_detect=True, threshold=20.0)
-        assert result.high.max() <= 20.0 + 10.0
+    def test_target_is_series_mean(self):
+        result = cusum_series(np.array([0.0, 10.0]))
+        assert result.high.tolist() == [0.0, 5.0]
+        assert result.low.tolist() == [5.0, 0.0]
 
+    def test_constant_offset_does_not_change_trajectories(self):
+        rng = np.random.default_rng(5)
+        series = np.concatenate([rng.normal(0, 1, 30), rng.normal(4, 1, 30)])
+        base = cusum_series(series)
+        shifted = cusum_series(series + 1000.0)
+        np.testing.assert_allclose(shifted.high, base.high, atol=1e-9)
+        np.testing.assert_allclose(shifted.low, base.low, atol=1e-9)
 
-class TestDetectChanges:
-    def test_detects_single_shift(self):
-        series = np.concatenate([np.zeros(50), np.full(50, 5.0)])
-        alarms = detect_changes(series, threshold=30.0, target=0.0)
-        assert len(alarms) >= 1
-        assert alarms[0] >= 50
+    def test_negation_swaps_sides_exactly(self):
+        rng = np.random.default_rng(6)
+        series = rng.exponential(300.0, size=80)
+        result = cusum_series(series)
+        mirrored = cusum_series(-series)
+        assert mirrored.high.tobytes() == result.low.tobytes()
+        assert mirrored.low.tobytes() == result.high.tobytes()
 
-    def test_no_alarms_on_flat(self):
-        assert detect_changes(np.ones(100), threshold=5.0) == []
-
-    def test_multiple_shifts_multiple_alarms(self):
-        series = np.concatenate(
-            [np.zeros(40), np.full(40, 8.0), np.zeros(40), np.full(40, 8.0)]
-        )
-        alarms = detect_changes(series, threshold=20.0, target=2.0, drift=1.0)
-        assert len(alarms) >= 2
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            detect_changes(np.ones(10), threshold=0.0)
-
-    def test_empty(self):
-        assert detect_changes(np.array([]), threshold=1.0) == []
+    def test_std_is_population_std_of_combined(self):
+        rng = np.random.default_rng(7)
+        result = cusum_series(rng.normal(size=60))
+        assert result.std() == float(np.std(result.combined))
 
 
 class TestCusumScore:
@@ -107,6 +89,16 @@ class TestCusumScore:
         assert cusum_score(series * 10) == pytest.approx(
             10 * cusum_score(series), rel=1e-9
         )
+
+    def test_single_value_scores_zero(self):
+        assert cusum_score(np.array([123.0])) == 0.0
+
+    def test_empty_scores_zero(self):
+        assert cusum_score(np.array([])) == 0.0
+
+    def test_step_up_and_step_down_score_alike(self):
+        up = np.concatenate([np.zeros(40), np.full(40, 10.0)])
+        assert cusum_score(up) == pytest.approx(cusum_score(up[::-1]), rel=1e-12)
 
 
 class TestCusumScores:
@@ -140,3 +132,7 @@ class TestCusumScores:
 
     def test_non_finite_rows_follow_the_scalar_path(self):
         self._check([[1.0, np.nan, 2.0], [np.inf, 1.0], [4.0, 5.0, 4.0]])
+
+    def test_all_empty_rows_score_zero(self):
+        got = cusum_scores(np.full((3, 4), 9.0), np.zeros(3, dtype=np.int64))
+        assert got.tolist() == [0.0, 0.0, 0.0]

@@ -181,6 +181,24 @@ class TestSummaryStatisticsAgainstNumpy:
         with pytest.raises(ValueError):
             summary_statistics([1.0, 2.0, 3.0], stats=("min", stat))
 
+    @pytest.mark.parametrize("empty", [[], [np.nan, np.inf]])
+    @pytest.mark.parametrize(
+        "stat", ["p-5", "p101", "pnan", "p", "pfoo", "median", "q50"]
+    )
+    def test_invalid_statistic_raises_on_empty_series(self, stat, empty):
+        """An empty (or all-non-finite) series rejects the names a
+        non-empty one rejects, with the same message, list or tuple."""
+        with pytest.raises(ValueError) as full:
+            summary_statistics([1.0, 2.0, 3.0], stats=("min", stat))
+        for stats in (("min", stat), ["min", stat]):
+            with pytest.raises(ValueError) as got:
+                summary_statistics(empty, stats=stats)
+            assert str(got.value) == str(full.value)
+
+    def test_valid_statistics_on_empty_series_stay_zero(self):
+        stats = ("min", "p0", "p100", "p1e1", "mean")
+        assert summary_statistics([], stats) == dict.fromkeys(stats, 0.0)
+
 
 class TestEcdf:
     def test_monotone_increasing(self):
